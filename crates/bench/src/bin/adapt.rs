@@ -10,7 +10,7 @@
 //!
 //! - **zero stale decisions**: every decision agrees with the policy set
 //!   of its *own* epoch (each round removes one more level, so a stale
-//!   snapshot or cache entry renders a visibly wrong decision);
+//!   snapshot renders a visibly wrong decision);
 //! - **epoch monotonicity**: no deciding thread ever observes the epoch
 //!   moving backwards;
 //! - **time-to-adoption**: per round, the time from trigger until a

@@ -18,9 +18,10 @@
 //! `--smoke` runs reduced scales suitable for CI and exits nonzero on any
 //! gate failure (the gates run in both modes; smoke only shrinks scales).
 
+use agenp_bench::server::PdpServer;
 use agenp_coalition::resilience::FaultInjector;
 use agenp_coalition::{supervised_cav_learning, CoalitionConfig};
-use agenp_core::arch::{Ams, DecisionSnapshot, Feedback, PdpHandle, PdpServer};
+use agenp_core::arch::{Ams, DecisionSnapshot, Feedback, PdpHandle};
 use agenp_grammar::{Asg, ProdId};
 use agenp_learn::HypothesisSpace;
 use agenp_obs::{MemoryExporter, ObsConfig, ObsSnapshot};
@@ -171,8 +172,8 @@ fn output_path() -> PathBuf {
     }
 }
 
-/// A policy permitting high-clearance subjects — enough structure for the
-/// cache to discriminate requests.
+/// A policy permitting high-clearance subjects — enough structure for
+/// decisions to depend on the request.
 fn clearance_policy() -> Policy {
     use agenp_policy::{Category, Cond, Effect, PolicyRule};
     Policy::new(

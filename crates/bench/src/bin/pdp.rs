@@ -4,10 +4,10 @@
 //! Drives a closed-loop multi-threaded request workload (randomized XACML
 //! requests against the scenario's ground-truth policy) through a
 //! [`PdpServer`], then writes `BENCH_pdp.json` at the repository root:
-//! threads × throughput × cache-hit-rate, a single-thread parity check of
-//! the serving tier against the legacy stateful [`Pdp`] path, and a
-//! stale-cache stress that swaps snapshots mid-stream and counts decisions
-//! served from the wrong epoch. The JSON schema is documented in
+//! threads × throughput, a single-thread parity check of the serving tier
+//! against the legacy stateful [`Pdp`] path, and a stale-epoch stress that
+//! swaps snapshots mid-stream and counts decisions that disagree with the
+//! policy set of the epoch that answered them. The JSON schema is documented in
 //! `docs/SERVING.md`.
 //!
 //! Since schema v2 the harness also puts the PDP on the wire: it boots an
@@ -22,11 +22,12 @@
 //!
 //! `--smoke` runs reduced scales suitable for CI, re-reads the emitted JSON
 //! through a validating parser, and exits nonzero on any parity mismatch,
-//! any stale-cache decision, a single-connection HTTP throughput below
+//! any stale-epoch decision, a single-connection HTTP throughput below
 //! 10k decisions/sec, or (on machines with >= 4 CPUs) a 4-thread
 //! throughput below 2x the 1-thread run.
 
-use agenp_core::arch::{DecisionSnapshot, PdpHandle, PdpServer};
+use agenp_bench::server::PdpServer;
+use agenp_core::arch::{DecisionSnapshot, PdpHandle};
 use agenp_core::scenarios::xacml::{ground_truth_policy, XacmlRequest};
 use agenp_pdpd::{run_load, LoadOptions, PdpdServer, ServerOptions};
 use agenp_policy::{
@@ -43,9 +44,6 @@ struct ThroughputRow {
     decisions: u64,
     micros: u128,
     throughput: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    hit_rate: f64,
 }
 
 /// The serving-tier vs legacy-PDP parity result.
@@ -141,7 +139,8 @@ fn main() {
     }
     if stress.stale_served > 0 {
         eprintln!(
-            "pdp: {} decisions were served from a stale cache entry across {} snapshot swaps",
+            "pdp: {} decisions disagreed with their own epoch's policy set across {} \
+             snapshot swaps (served from an older epoch)",
             stress.stale_served, stress.swaps
         );
         std::process::exit(1);
@@ -238,13 +237,10 @@ fn run_throughput(
         decisions: report.decisions,
         micros: report.elapsed.as_micros(),
         throughput: report.throughput,
-        cache_hits: report.cache_hits,
-        cache_misses: report.cache_misses,
-        hit_rate: report.hit_rate(),
     }
 }
 
-/// Single-thread parity: the serving tier (cold cache and warm cache both)
+/// Single-thread parity: the serving tier (handle and pinned path both)
 /// must render bit-identical decisions to the legacy stateful [`Pdp`] over
 /// a fresh randomized request stream.
 fn run_parity(policies: &[Policy], requests: usize, seed: u64) -> ParityOutcome {
@@ -258,14 +254,15 @@ fn run_parity(policies: &[Policy], requests: usize, seed: u64) -> ParityOutcome 
         policies.to_vec(),
         CombiningAlg::DenyOverrides,
     ));
+    let mut pin = handle.pin();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mismatches = 0usize;
     for _ in 0..requests {
         let req = XacmlRequest::random(&mut rng).to_request();
         let expected = legacy.decide(&repo, &req);
-        let cold = handle.decide(&req).decision;
-        let warm = handle.decide(&req).decision; // second hit exercises the cache
-        if cold != expected || warm != expected {
+        let via_handle = handle.decide(&req).decision;
+        let via_pin = pin.decide(&req).decision;
+        if via_handle != expected || via_pin != expected {
             mismatches += 1;
         }
     }
@@ -429,17 +426,13 @@ fn print_tables(
 ) {
     println!("shared-snapshot PDP serving throughput (closed loop):");
     println!(
-        "{:>8} {:>12} {:>12} {:>14} {:>10}",
-        "threads", "decisions", "micros", "decisions/s", "hit rate"
+        "{:>8} {:>12} {:>12} {:>14}",
+        "threads", "decisions", "micros", "decisions/s"
     );
     for r in rows {
         println!(
-            "{:>8} {:>12} {:>12} {:>14.0} {:>10}",
-            r.threads,
-            r.decisions,
-            r.micros,
-            r.throughput,
-            agenp_bench::pct(r.hit_rate)
+            "{:>8} {:>12} {:>12} {:>14.0}",
+            r.threads, r.decisions, r.micros, r.throughput
         );
     }
     println!(
@@ -486,15 +479,8 @@ fn render_json(
         .map(|r| {
             format!(
                 "{{\"threads\": {}, \"decisions\": {}, \"micros\": {}, \
-                 \"decisions_per_sec\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \
-                 \"hit_rate\": {:.4}}}",
-                r.threads,
-                r.decisions,
-                r.micros,
-                r.throughput,
-                r.cache_hits,
-                r.cache_misses,
-                r.hit_rate
+                 \"decisions_per_sec\": {:.1}}}",
+                r.threads, r.decisions, r.micros, r.throughput
             )
         })
         .collect();
@@ -525,7 +511,7 @@ fn render_json(
         .find(|r| r.connections == 1 && r.batch == 1)
         .map_or("null".to_string(), |r| format!("{:.1}", r.throughput));
     format!(
-        "{{\n\"schema\": \"agenp-bench/pdp/v2\",\n\"smoke\": {},\n\
+        "{{\n\"schema\": \"agenp-bench/pdp/v3\",\n\"smoke\": {},\n\
          \"throughput\": [\n{}\n],\n\
          \"parity\": {{\"requests\": {}, \"mismatches\": {}}},\n\
          \"stress\": {{\"decisions\": {}, \"swaps\": {}, \"stale_served\": {}}},\n\

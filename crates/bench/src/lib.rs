@@ -10,6 +10,7 @@ use agenp_asp::Program;
 use agenp_grammar::Asg;
 
 pub mod json;
+pub mod server;
 
 /// A 2-colorable ring-coloring program over `n` nodes — a classic
 /// non-stratified benchmark with answer sets for the solver to enumerate.

@@ -374,8 +374,8 @@ impl Ams {
     }
 
     /// PDP + PEP step: decides a request against the currently served
-    /// snapshot — policies, enforcement, degradation error, and cache
-    /// diagnostics in one [`DecisionOutcome`]. A `&self` method: any
+    /// snapshot — policies, enforcement, degradation error, and the
+    /// answering epoch in one [`DecisionOutcome`]. A `&self` method: any
     /// number of threads may call it (or [`PdpHandle::decide`] on a cloned
     /// handle) concurrently with control-plane mutations. The outcome
     /// feeds the goal monitor (`grant_rate`, `gap_rate`).
@@ -652,10 +652,10 @@ mod tests {
         assert_eq!(handle.decide(&req).decision, Decision::NotApplicable);
         ams.refresh_policies().unwrap();
         // Same handle, no re-wiring: the new snapshot is already visible
-        // and the stale cached NotApplicable is not served.
+        // and the stale NotApplicable is not served.
         let outcome = handle.decide(&req);
         assert_eq!(outcome.decision, Decision::Deny);
-        assert!(!outcome.cached);
+        assert_eq!(outcome.epoch, ams.current_snapshot().epoch());
     }
 
     #[test]

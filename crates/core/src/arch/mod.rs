@@ -22,7 +22,4 @@ pub use pcp::{Pcp, Verdict};
 pub use pip::{ContextProvider, Pip, StaticContext};
 pub use prep::{CanonicalTranslator, FnTranslator, PolicyTranslator, Prep};
 pub use repr::{GpmVersion, RepresentationsRepository};
-pub use serve::{
-    DecisionCache, DecisionOutcome, DecisionSnapshot, PdpHandle, PdpPin, PdpServer, ServeStats,
-    ServerReport, SnapshotSwap,
-};
+pub use serve::{DecisionOutcome, DecisionSnapshot, PdpHandle, PdpPin, ServeStats, SnapshotSwap};

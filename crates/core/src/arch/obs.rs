@@ -13,10 +13,6 @@ use std::sync::{Arc, OnceLock};
 pub struct ServeMetrics {
     /// Decisions rendered (`serve.decisions`).
     pub decisions: Arc<Counter>,
-    /// Decisions answered from the cache (`serve.cache_hits`).
-    pub cache_hits: Arc<Counter>,
-    /// Decisions that evaluated the snapshot (`serve.cache_misses`).
-    pub cache_misses: Arc<Counter>,
     /// Snapshots published / epoch swaps (`serve.publishes`).
     pub publishes: Arc<Counter>,
     /// Degraded snapshots published (`serve.degraded_publishes`).
@@ -33,8 +29,6 @@ impl ServeMetrics {
             let r = agenp_obs::registry();
             ServeMetrics {
                 decisions: r.counter("serve.decisions"),
-                cache_hits: r.counter("serve.cache_hits"),
-                cache_misses: r.counter("serve.cache_misses"),
                 publishes: r.counter("serve.publishes"),
                 degraded_publishes: r.counter("serve.degraded_publishes"),
                 decide_latency_ns: r.histogram("serve.decide_latency_ns"),
@@ -42,16 +36,14 @@ impl ServeMetrics {
         })
     }
 
-    /// Cumulative cross-handle totals as a [`ServeStats`] façade
-    /// (per-handle invalidations are not mirrored; read them from
-    /// `PdpHandle::stats()`).
+    /// Cumulative cross-handle totals as a [`ServeStats`] façade.
     pub fn read() -> ServeStats {
         let m = ServeMetrics::global();
+        let decisions = m.decisions.value();
         ServeStats {
-            decisions: m.decisions.value(),
-            cache_hits: m.cache_hits.value(),
-            cache_misses: m.cache_misses.value(),
-            invalidations: 0,
+            decisions,
+            cache_hits: 0,
+            cache_misses: decisions,
             publishes: m.publishes.value(),
         }
     }
@@ -79,7 +71,6 @@ mod tests {
         let after = ServeMetrics::read();
         assert!(after.decisions >= before.decisions + 2);
         assert!(after.publishes > before.publishes);
-        assert!(after.cache_hits > before.cache_hits);
         let lat_after = ServeMetrics::global().decide_latency_ns.snapshot().count;
         assert!(lat_after >= lat_before + 2);
         agenp_obs::install(agenp_obs::ObsConfig::disabled());

@@ -299,6 +299,9 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Room reserved for a response head (status line and three headers).
+const HEAD_CAPACITY: usize = 128;
+
 /// Writes one response with a `Content-Length` body. `close` adds
 /// `Connection: close`.
 ///
@@ -311,17 +314,21 @@ pub fn write_response(
     body: &[u8],
     close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut message = Vec::with_capacity(HEAD_CAPACITY + body.len());
+    write!(
+        message,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         reason(status),
         body.len()
-    );
+    )?;
     if close {
-        head.push_str("Connection: close\r\n");
+        message.extend_from_slice(b"Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    // One write per response: with `TCP_NODELAY` set, separate head and
+    // body writes would leave as two segments.
+    w.write_all(&message)?;
     w.flush()
 }
 
@@ -409,5 +416,37 @@ mod tests {
         let (status, body) = conn.read_response().unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, br#"{"ok":true}"#);
+    }
+
+    /// Counts the write calls a response takes.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_call() {
+        for close in [false, true] {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, 200, br#"{"decision": "Permit"}"#, close).unwrap();
+            assert_eq!(w.calls, 1, "close={close}");
+            let mut conn = ConnBuf::new(Cursor::new(w.bytes));
+            let (status, body) = conn.read_response().unwrap();
+            assert_eq!(status, 200);
+            assert_eq!(body, br#"{"decision": "Permit"}"#);
+        }
     }
 }

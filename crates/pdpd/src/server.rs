@@ -2,8 +2,8 @@
 //! fixed worker pool over an mpsc channel (the `crates/asp/src/pool.rs`
 //! idiom: plain `std::thread` + channels, deterministic shutdown, no
 //! external runtime). Each worker owns a [`PdpPin`], so every connection
-//! it serves decides through a per-thread epoch-stamped cache — the HTTP
-//! tier inherits the lock-free warm path for free.
+//! it serves decides against a pinned snapshot revalidated by one epoch
+//! load — the HTTP tier inherits the lock-free path for free.
 
 use crate::http::{write_response, ConnBuf, HttpError, HttpRequest};
 use crate::json;
@@ -360,16 +360,11 @@ fn metrics_body(serve: ServeStats, counters: &HttpCounters) -> String {
         "null".to_string()
     };
     format!(
-        "{{\"serve\": {{\"decisions\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-         \"invalidations\": {}, \"publishes\": {}, \"hit_rate\": {:.4}}}, \
+        "{{\"serve\": {{\"decisions\": {}, \"publishes\": {}}}, \
          \"http\": {{\"connections\": {}, \"ok\": {}, \"client_errors\": {}, \
          \"decisions\": {}}}, \"obs\": {}}}",
         serve.decisions,
-        serve.cache_hits,
-        serve.cache_misses,
-        serve.invalidations,
         serve.publishes,
-        serve.hit_rate(),
         counters.connections.load(Ordering::Relaxed),
         counters.ok.load(Ordering::Relaxed),
         counters.client_errors.load(Ordering::Relaxed),

@@ -165,7 +165,7 @@ impl Request {
     }
 
     /// An injective, deterministic encoding of the request, suitable as a
-    /// cache key: `BTreeMap` iteration fixes the order, names are
+    /// map key: `BTreeMap` iteration fixes the order, names are
     /// length-prefixed, and values carry a type tag plus length prefix so
     /// no two distinct requests share a key (unlike the `Display` form,
     /// where `Str("true")` and `Bool(true)` collide).

@@ -27,6 +27,7 @@
 
 mod attr;
 mod bridge;
+mod compiled;
 mod ledger;
 mod minimize;
 mod model;
@@ -39,6 +40,7 @@ pub use bridge::{
     attr_value_to_term, obligation_to_atom, obligations_to_program, parse_value,
     request_to_context, rule_from_text, rule_to_text, PolicyTextError,
 };
+pub use compiled::CompiledPolicySet;
 pub use ledger::{
     ComplianceAdvice, ComplianceEvaluator, LedgerEntry, ObligationLedger, ObligationStatus,
 };

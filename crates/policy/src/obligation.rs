@@ -27,7 +27,9 @@
 //!    any non-Deny outcome.
 
 use crate::attr::Request;
+use crate::compiled::CompiledPolicySet;
 use crate::model::{CombiningAlg, Decision, Effect, Policy, PolicyRule};
+#[cfg(doc)]
 use crate::pdp::evaluate_policies;
 use std::fmt;
 
@@ -150,53 +152,15 @@ impl Policy {
 
 /// Evaluates a request to a [`DecisionEffects`]: the same decision as
 /// [`evaluate_policies`], plus collected obligations and the penalty
-/// annotation, per the module-level collection semantics.
+/// annotation, per the module-level collection semantics. Compiles the set
+/// for this one call; a caller deciding many requests against one set
+/// keeps a [`CompiledPolicySet`] instead.
 pub fn evaluate_policies_effects(
     policies: &[Policy],
     combining: CombiningAlg,
     request: &Request,
 ) -> DecisionEffects {
-    let decision = evaluate_policies(policies, combining, request);
-    let mut effects = DecisionEffects::bare(decision);
-    let Some(final_effect) = decision.effect() else {
-        return effects;
-    };
-    for policy in policies {
-        // The annotation-free common case costs one scan, no evaluation.
-        if !policy.has_annotations() {
-            continue;
-        }
-        if policy.evaluate(request) != decision {
-            continue;
-        }
-        for spec in &policy.obligations {
-            if spec.on == final_effect {
-                push_deduped(&mut effects.obligations, &spec.obligation);
-            }
-        }
-        for rule in &policy.rules {
-            if !rule.has_annotations() || rule.evaluate(request) != decision {
-                continue;
-            }
-            for spec in &rule.obligations {
-                if spec.on == final_effect {
-                    push_deduped(&mut effects.obligations, &spec.obligation);
-                }
-            }
-            if decision == Decision::Deny {
-                if let Some(p) = rule.penalty {
-                    effects.penalty = effects.penalty.max(p);
-                }
-            }
-        }
-    }
-    effects
-}
-
-fn push_deduped(out: &mut Vec<Obligation>, ob: &Obligation) {
-    if !out.iter().any(|o| o.id == ob.id) {
-        out.push(ob.clone());
-    }
+    CompiledPolicySet::new(policies, combining).decide_effects(request)
 }
 
 #[cfg(test)]
@@ -204,6 +168,7 @@ mod tests {
     use super::*;
     use crate::attr::Category;
     use crate::model::Cond;
+    use crate::pdp::evaluate_policies;
 
     fn audit(deadline: u64) -> Obligation {
         Obligation::new("audit", "audit-log", deadline).with_penalty(2)

@@ -5,6 +5,7 @@
 //! adaptation loop).
 
 use crate::attr::Request;
+use crate::compiled::CompiledPolicySet;
 use crate::model::{CombiningAlg, Decision, Policy};
 use std::fmt;
 
@@ -66,16 +67,16 @@ impl PolicyRepository {
 }
 
 /// Evaluates a request against a policy slice under a combining algorithm —
-/// the pure decision kernel shared by the stateful [`Pdp`] and the
-/// shared-snapshot serving tier (`agenp-core`'s `DecisionSnapshot`), which
-/// must render decisions from an immutable policy set without a repository
-/// or history.
+/// the pure decision kernel of the stateful [`Pdp`]. Compiles the set for
+/// this one call; the shared-snapshot serving tier (`agenp-core`'s
+/// `DecisionSnapshot`) keeps a [`CompiledPolicySet`] per published set
+/// instead.
 pub fn evaluate_policies(
     policies: &[Policy],
     combining: CombiningAlg,
     request: &Request,
 ) -> Decision {
-    combining.combine(policies.iter().map(|p| p.evaluate(request)))
+    CompiledPolicySet::new(policies, combining).decide(request)
 }
 
 /// One monitored decision, kept for the PAdaP's adaptation loop.

@@ -1,9 +1,10 @@
 //! Property tests for the policy substrate: combining-algebra laws, serde
-//! round-trips, and quality-metric bounds.
+//! round-trips, quality-metric bounds, and the compiled set's agreement
+//! with rule-by-rule evaluation.
 
 use agenp_policy::{
-    AttrValue, Category, CombiningAlg, Cond, CondOp, Decision, Effect, Policy, PolicyRule,
-    QualityChecker, Request,
+    AttrValue, Category, CombiningAlg, CompiledPolicySet, Cond, CondOp, Decision, Effect, Policy,
+    PolicyRule, QualityChecker, Request,
 };
 use proptest::prelude::*;
 
@@ -211,6 +212,36 @@ proptest! {
         agenp_policy::minimize_policies(&mut minimized, &requests);
         let after: Vec<Decision> = requests.iter().map(|r| decide(&minimized, r)).collect();
         prop_assert_eq!(before, after);
+    }
+
+    /// The compiled set decides exactly as the policies evaluated rule by
+    /// rule, for every combining algorithm at either level — on requests
+    /// with all attributes present and on adversarial ones (absent
+    /// attributes, mismatched types, values no rule mentions).
+    #[test]
+    fn compiled_set_matches_rule_by_rule_evaluation(
+        rules in proptest::collection::vec(arb_rule(), 1..12),
+        split in 0usize..12,
+        algs in (0usize..3, 0usize..3),
+        requests in proptest::collection::vec(arb_request(), 1..8),
+        adversarial in proptest::collection::vec(arb_adversarial_request(), 1..8),
+    ) {
+        let alg = |i: usize| [
+            CombiningAlg::DenyOverrides,
+            CombiningAlg::PermitOverrides,
+            CombiningAlg::FirstApplicable,
+        ][i];
+        let (a, b) = rules.split_at(split.min(rules.len()));
+        let policies: Vec<Policy> = [a, b]
+            .iter()
+            .enumerate()
+            .map(|(i, rs)| Policy::new(&format!("p{i}"), rs.to_vec()).with_combining(alg(algs.0)))
+            .collect();
+        let compiled = CompiledPolicySet::new(&policies, alg(algs.1));
+        for r in requests.iter().chain(&adversarial) {
+            let want = alg(algs.1).combine(policies.iter().map(|p| p.evaluate(r)));
+            prop_assert_eq!(compiled.decide(r), want, "request {}", r);
+        }
     }
 }
 

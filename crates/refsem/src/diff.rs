@@ -180,32 +180,44 @@ pub fn decisions_via_all_paths(
 
 /// Differential PDP case: generated policy set (obligation- and
 /// penalty-bearing) and duplicate-bearing request stream; every serving
-/// path (shared cache hot and cold, pin caches, batch dedup) must match
-/// the straight-line reference [`reference::effects_reference`] on the
-/// full decision-plus-obligations-plus-penalty effects. Any mismatch is
-/// shrunk to a minimal failing case before the repro line prints.
+/// path (handle and pin, singles and batches) must match the
+/// straight-line reference [`reference::effects_reference`] on the full
+/// decision-plus-obligations-plus-penalty effects. The same seed then
+/// checks out-of-vocabulary requests against that set, and both streams
+/// against a `FirstApplicable`-at-both-levels set over sparse constants.
+/// Any mismatch is shrunk to a minimal failing case before the repro line
+/// prints.
 pub fn run_pdp_case(seed: u64) -> Result<(), String> {
     let ctx = |msg: String| format!("seed={seed} kind=pdp: {msg} (repro: run_pdp_case({seed}))");
     let mut rng = gen::rng_for(seed);
     let (policies, combining) = gen::policy_set(&mut rng);
     let stream = gen::request_stream(&mut rng, 12);
-    let served = match decisions_via_all_paths(&policies, combining, &stream) {
-        Ok(served) => served,
-        Err(msg) => {
-            return Err(ctx(format!(
-                "{msg}\n{}",
-                shrunk_pdp_repro(&policies, combining, &stream)
-            )))
-        }
-    };
-    for (i, (got, request)) in served.iter().zip(&stream).enumerate() {
-        let want = reference::effects_reference(&policies, combining, request);
+    check_pdp(&policies, combining, &stream).map_err(ctx)?;
+    let mut oov = gen::out_of_vocabulary_requests(&mut rng, 8);
+    check_pdp(&policies, combining, &oov).map_err(|m| ctx(format!("out of vocabulary: {m}")))?;
+    let first_applicable = gen::first_applicable_policy_set(&mut rng);
+    oov.extend(stream);
+    check_pdp(&first_applicable, CombiningAlg::FirstApplicable, &oov)
+        .map_err(|m| ctx(format!("first-applicable set: {m}")))
+}
+
+/// One differential PDP check: every serving path against the reference
+/// on `stream`, with a shrunk repro on mismatch.
+fn check_pdp(
+    policies: &[Policy],
+    combining: CombiningAlg,
+    stream: &[Request],
+) -> Result<(), String> {
+    let served = decisions_via_all_paths(policies, combining, stream)
+        .map_err(|msg| format!("{msg}\n{}", shrunk_pdp_repro(policies, combining, stream)))?;
+    for (i, (got, request)) in served.iter().zip(stream).enumerate() {
+        let want = reference::effects_reference(policies, combining, request);
         if *got != want {
-            return Err(ctx(format!(
+            return Err(format!(
                 "request[{i}] served {got:?} != reference {want:?} (key {})\n{}",
                 request.canonical_key(),
-                shrunk_pdp_repro(&policies, combining, &stream)
-            )));
+                shrunk_pdp_repro(policies, combining, stream)
+            ));
         }
     }
     Ok(())
@@ -224,7 +236,7 @@ fn pdp_mismatch(policies: &[Policy], combining: CombiningAlg, stream: &[Request]
 }
 
 /// Binary-searches a mismatching PDP case down: the request stream first
-/// (the cheapest axis — duplicates and cache warm-up usually drop out),
+/// (the cheapest axis — duplicates usually drop out),
 /// then whole policies, then the rules inside each surviving policy, each
 /// axis shrunk while the others are held fixed.
 fn shrunk_pdp_repro(policies: &[Policy], combining: CombiningAlg, stream: &[Request]) -> String {

@@ -13,8 +13,8 @@
 //!   arity ≤ 2) so brute-force stable-model enumeration stays feasible.
 //! * Policy conditions cover every [`Cond`] constructor, including the
 //!   three-valued `Indeterminate` paths (missing attributes, type-mismatched
-//!   comparisons), and request streams contain deliberate duplicates to
-//!   exercise the batch-dedup and cache paths of the serving tier.
+//!   comparisons), and request streams contain deliberate duplicates so
+//!   every serving path sees repeated requests within one batch.
 
 use agenp_asp::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term};
 use agenp_grammar::{nt, t, Asg, CfgBuilder};
@@ -328,8 +328,7 @@ pub fn request(rng: &mut StdRng) -> Request {
 }
 
 /// A request stream with deliberate duplicates: roughly a third of the
-/// entries repeat an earlier request, exercising batch dedup and both cache
-/// tiers.
+/// entries repeat an earlier request, so batches carry repeated requests.
 pub fn request_stream(rng: &mut StdRng, len: usize) -> Vec<Request> {
     let mut out: Vec<Request> = Vec::with_capacity(len);
     for _ in 0..len {
@@ -345,12 +344,17 @@ pub fn request_stream(rng: &mut StdRng, len: usize) -> Vec<Request> {
 
 /// A random condition tree of bounded depth covering every constructor.
 pub fn cond(rng: &mut StdRng, depth: usize) -> Cond {
+    cond_over(rng, depth, attr_value)
+}
+
+/// [`cond`] with its constants drawn from `value`.
+fn cond_over(rng: &mut StdRng, depth: usize, value: fn(&mut StdRng) -> AttrValue) -> Cond {
     let leaf = depth == 0 || rng.gen_bool(0.4);
     if leaf {
         let cat = Category::ALL[rng.gen_range(0..Category::ALL.len())];
         let attr = ATTRS[rng.gen_range(0..ATTRS.len())];
         if rng.gen_bool(0.3) {
-            let values = (0..rng.gen_range(1..=3)).map(|_| attr_value(rng)).collect();
+            let values = (0..rng.gen_range(1..=3)).map(|_| value(rng)).collect();
             Cond::In {
                 category: cat,
                 attr: attr.to_owned(),
@@ -365,21 +369,21 @@ pub fn cond(rng: &mut StdRng, depth: usize) -> Cond {
                 CondOp::Gt,
                 CondOp::Ge,
             ];
-            Cond::cmp(cat, attr, ops[rng.gen_range(0..ops.len())], attr_value(rng))
+            Cond::cmp(cat, attr, ops[rng.gen_range(0..ops.len())], value(rng))
         }
     } else {
         match rng.gen_range(0..3) {
             0 => Cond::And(
                 (0..rng.gen_range(1..=3))
-                    .map(|_| cond(rng, depth - 1))
+                    .map(|_| cond_over(rng, depth - 1, value))
                     .collect(),
             ),
             1 => Cond::Or(
                 (0..rng.gen_range(1..=3))
-                    .map(|_| cond(rng, depth - 1))
+                    .map(|_| cond_over(rng, depth - 1, value))
                     .collect(),
             ),
-            _ => Cond::Not(Box::new(cond(rng, depth - 1))),
+            _ => Cond::Not(Box::new(cond_over(rng, depth - 1, value))),
         }
     }
 }
@@ -438,7 +442,20 @@ pub fn obligation(rng: &mut StdRng) -> Obligation {
 /// (surfacing only on contributing `Deny` rules), and a fifth of policies
 /// carry a policy-level obligation.
 fn policy(rng: &mut StdRng, id: usize, alg: CombiningAlg) -> Policy {
-    let rules = (0..rng.gen_range(1..=3))
+    let n_rules = rng.gen_range(1..=3);
+    policy_of(rng, id, alg, attr_value, n_rules)
+}
+
+/// [`policy`] with exactly `n_rules` rules, its condition constants drawn
+/// from `value`.
+fn policy_of(
+    rng: &mut StdRng,
+    id: usize,
+    alg: CombiningAlg,
+    value: fn(&mut StdRng) -> AttrValue,
+    n_rules: usize,
+) -> Policy {
+    let rules = (0..n_rules)
         .map(|j| {
             let id = format!("r{id}_{j}");
             let effect = if rng.gen_bool(0.5) {
@@ -449,7 +466,7 @@ fn policy(rng: &mut StdRng, id: usize, alg: CombiningAlg) -> Policy {
             let mut rule = if rng.gen_bool(0.15) {
                 PolicyRule::unconditional(&id, effect)
             } else {
-                PolicyRule::new(&id, effect, cond(rng, 2))
+                PolicyRule::new(&id, effect, cond_over(rng, 2, value))
             };
             if rng.gen_bool(0.3) {
                 rule = rule.with_obligation(self::effect(rng), obligation(rng));
@@ -495,6 +512,70 @@ pub fn order_insensitive_policy_set(rng: &mut StdRng) -> (Vec<Policy>, Combining
         })
         .collect();
     (policies, top)
+}
+
+/// A constant for [`first_applicable_policy_set`]: the usual strings and
+/// bools, but only even integers, so odd request integers fall strictly
+/// between two constants.
+fn sparse_value(rng: &mut StdRng) -> AttrValue {
+    match attr_value(rng) {
+        AttrValue::Int(i) => AttrValue::Int(2 * i),
+        other => other,
+    }
+}
+
+/// A random policy set with `FirstApplicable` combining at both levels —
+/// the order-sensitive algorithm, where which rule and which policy decide
+/// first matters — whose integer constants are all even, so odd request
+/// integers fall strictly between two of them. Policies carry one to
+/// twelve rules, so large policies (the ones a compiled set indexes by
+/// guard) are drawn as often as small ones.
+pub fn first_applicable_policy_set(rng: &mut StdRng) -> Vec<Policy> {
+    (0..rng.gen_range(1..=3))
+        .map(|i| {
+            let n_rules = rng.gen_range(1..=12);
+            policy_of(rng, i, CombiningAlg::FirstApplicable, sparse_value, n_rules)
+        })
+        .collect()
+}
+
+/// Strings no generated condition mentions, one below, between and above
+/// every constant in `STRS` (`"" < "a" < "alpha" < "alphaz" < "b" < "beta"
+/// < "delta" < "gamma" < "zeta"`).
+const OOV_STRS: [&str; 6] = ["", "a", "alphaz", "b", "delta", "zeta"];
+/// Integers below, between and above the generated constants (`0..4`, or
+/// the even `0..8` of [`sparse_value`]).
+const OOV_INTS: [i64; 7] = [i64::MIN, -1, 1, 3, 5, 9, i64::MAX];
+
+/// An attribute value outside the generators' vocabulary: a string or
+/// integer placed below, between or above every constant.
+fn out_of_vocabulary_value(rng: &mut StdRng) -> AttrValue {
+    if rng.gen_bool(0.5) {
+        AttrValue::Str(OOV_STRS[rng.gen_range(0..OOV_STRS.len())].to_owned())
+    } else {
+        AttrValue::Int(OOV_INTS[rng.gen_range(0..OOV_INTS.len())])
+    }
+}
+
+/// A stream of `len` requests of one to four attributes, each value
+/// out of vocabulary half the time, in vocabulary otherwise.
+pub fn out_of_vocabulary_requests(rng: &mut StdRng, len: usize) -> Vec<Request> {
+    (0..len)
+        .map(|_| {
+            let mut req = Request::new();
+            for _ in 0..rng.gen_range(1..=4) {
+                let cat = Category::ALL[rng.gen_range(0..Category::ALL.len())];
+                let name = ATTRS[rng.gen_range(0..ATTRS.len())];
+                let value = if rng.gen_bool(0.5) {
+                    out_of_vocabulary_value(rng)
+                } else {
+                    attr_value(rng)
+                };
+                req.set(cat, name, value);
+            }
+            req
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! # agenp-refsem — reference semantics and generative oracles
 //!
 //! The fast engines in this workspace (the semi-naive indexed grounder, the
-//! stable-model solver, the snapshot/cache PDP serving tier) exist to be
+//! stable-model solver, the compiled-policy PDP serving tier) exist to be
 //! rewritten: every optimization on the roadmap rewrites a hot internal, and
 //! the paper's central claim — learned generative policies render the *same*
 //! decisions as the intended policy set — makes semantic drift the one

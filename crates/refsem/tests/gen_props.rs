@@ -1,9 +1,8 @@
 //! Property tests over the generators themselves: the safety and
 //! stratification guarantees the reference evaluator's completeness rests
 //! on, and injectivity of `Request::canonical_key` on generated requests —
-//! the invariant that keeps both the shared sharded cache and the
-//! per-thread pin caches from serving one request another request's
-//! decision.
+//! the invariant that lets the miner and the shrinker's repro lines key
+//! requests without conflating two of them.
 
 use agenp_refsem::gen;
 use agenp_refsem::reference;
@@ -45,9 +44,9 @@ proptest! {
         }
     }
 
-    /// Request streams really do contain duplicates (so the cache and
-    /// batch-dedup paths the differential suite claims to cover are
-    /// actually exercised) and every duplicate is a genuine equal request.
+    /// Request streams really do contain duplicates (so the differential
+    /// suite's batches really repeat requests) and every duplicate is a
+    /// genuine equal request.
     #[test]
     fn request_streams_duplicate_by_equality(seed in 0u64..1_000_000) {
         let mut rng = gen::rng_for(seed);

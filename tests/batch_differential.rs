@@ -71,8 +71,8 @@ fn batched_decisions_match_sequential_on_random_streams() {
 /// Swaps snapshots from a control thread while worker threads push
 /// batches. Every batch must be answered by exactly one epoch, and every
 /// decision must agree with the policy set published at that epoch — a
-/// disagreement is a stale cache entry, a torn batch is a mixed-epoch
-/// result set.
+/// disagreement is a decision served from an older epoch, a torn batch is
+/// a mixed-epoch result set.
 #[test]
 fn mid_batch_snapshot_swaps_never_tear_or_stale() {
     let real = vec![ground_truth_policy()];
@@ -163,8 +163,7 @@ fn mid_batch_snapshot_swaps_never_tear_or_stale() {
 }
 
 /// A pin that crosses a swap between two batches self-invalidates: the
-/// next batch answers at the new epoch with recomputed (not replayed)
-/// decisions.
+/// next batch answers at the new epoch, from the new policy set.
 #[test]
 fn pin_batches_self_invalidate_across_swaps() {
     let real = vec![ground_truth_policy()];
@@ -181,16 +180,22 @@ fn pin_batches_self_invalidate_across_swaps() {
     let batch = workload(8, 9);
 
     let first = pin.decide_batch(&batch);
-    let warm = pin.decide_batch(&batch);
-    assert!(warm.iter().all(|o| o.cached), "second pass must be warm");
-    assert_eq!(first[0].epoch, warm[0].epoch);
+    let again = pin.decide_batch(&batch);
+    assert_eq!(first[0].epoch, again[0].epoch);
+    assert!(first
+        .iter()
+        .zip(&again)
+        .all(|(a, b)| a.decision == b.decision));
+    assert!(
+        first.iter().any(|o| o.decision != Decision::Deny),
+        "the real set must decide some of the batch differently from deny-all"
+    );
 
     handle.publish(DecisionSnapshot::new(deny_all, CombiningAlg::DenyOverrides));
     let post = pin.decide_batch(&batch);
-    assert_eq!(post[0].epoch, warm[0].epoch + 1);
     assert!(
-        post.iter().all(|o| !o.cached),
-        "post-swap batch replayed stale private-cache entries"
+        post.iter().all(|o| o.epoch == again[0].epoch + 1),
+        "post-swap batch answered from an older epoch"
     );
     assert!(post.iter().all(|o| o.decision == Decision::Deny));
     // And the sequential path agrees with the batch at the new epoch.
