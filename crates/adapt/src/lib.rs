@@ -24,6 +24,8 @@
 //! counters `adapt.log.recorded`, `adapt.log.dropped`,
 //! `adapt.mine.emitted`, `adapt.rounds.{published,skipped,failed}`.
 
+#![forbid(unsafe_code)]
+
 mod log;
 mod miner;
 mod plane;

@@ -8,7 +8,6 @@
 //! service-level deadline) can cancel by *time* as well as by work, and
 //! [`Exhausted`] names which bound fired in a uniform way across layers.
 
-use crate::parallel::Parallelism;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -90,9 +89,6 @@ pub struct RunBudget {
     pub max_atoms: usize,
     /// Learner search-node budget.
     pub max_nodes: u64,
-    /// Grounder worker-thread policy (see [`Parallelism`] for the
-    /// resolution order).
-    pub parallelism: Parallelism,
 }
 
 impl Default for RunBudget {
@@ -102,7 +98,6 @@ impl Default for RunBudget {
             max_steps: u64::MAX,
             max_atoms: 4_000_000,
             max_nodes: 2_000_000,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -144,17 +139,6 @@ impl RunBudget {
     pub fn with_max_nodes(mut self, max_nodes: u64) -> RunBudget {
         self.max_nodes = max_nodes;
         self
-    }
-
-    /// Sets the unified grounder worker-thread policy.
-    pub fn with_parallelism(mut self, parallelism: impl Into<Parallelism>) -> RunBudget {
-        self.parallelism = parallelism.into();
-        self
-    }
-
-    /// The parallelism policy this budget applies to grounding.
-    pub fn effective_parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 }
 

@@ -34,6 +34,7 @@
 //! `P@t` trace-prefixing operation used when mapping answer-set-grammar
 //! parse trees to programs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -42,9 +43,7 @@ mod budget;
 mod explain;
 mod ground;
 pub mod obs;
-mod parallel;
 mod parser;
-pub mod pool;
 mod program;
 mod solve;
 mod symbol;
@@ -59,9 +58,7 @@ pub use ground::{
 };
 #[allow(deprecated)]
 pub use ground::{ground_naive, ground_naive_with, ground_naive_with_stats};
-pub use parallel::Parallelism;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
-pub use pool::{PoolError, UnitControl, WorkPool};
 pub use program::{Program, Rule, WeakConstraint};
 pub use solve::{
     is_stable, model_cost, AnswerSet, CostVector, OptimizeResult, SolveResult, SolveStats, Solver,

@@ -165,45 +165,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_equals_serial_across_thread_counts(text in arb_program_text()) {
-        let program: Program = text.parse().expect("generated programs parse");
-        // grain 1 forces chunking so multi-thread runs genuinely take the
-        // pool path even on tiny generated programs.
-        let (reference, _) = ground_with_stats(
-            &program,
-            GroundOptions::default().with_parallelism(1).with_parallel_grain(1),
-        )
-        .expect("grounds");
-        for threads in [2usize, 4] {
-            let opts = GroundOptions::default()
-                .with_parallelism(threads)
-                .with_parallel_grain(1);
-            let (parallel, _) = ground_with_stats(&program, opts).expect("grounds");
-            // Byte-identical, not merely set-equal: same rule order and the
-            // same atom-id assignment regardless of thread count.
-            prop_assert_eq!(parallel.to_string(), reference.to_string());
-            let ids: Vec<(u32, String)> = parallel
-                .atoms()
-                .iter()
-                .map(|(id, a)| (id, a.to_string()))
-                .collect();
-            let ref_ids: Vec<(u32, String)> = reference
-                .atoms()
-                .iter()
-                .map(|(id, a)| (id, a.to_string()))
-                .collect();
-            prop_assert_eq!(ids, ref_ids);
-            // And the parallel output still matches the naive reference.
-            let (naive, _) = ground_with_stats(
-                &program,
-                opts.with_mode(GroundMode::Naive),
-            )
-            .expect("grounds");
-            prop_assert_eq!(rendered_lines(&parallel), rendered_lines(&naive));
-        }
-    }
-
-    #[test]
     fn incremental_delta_equals_monolithic_on_random_splits(
         base_text in arb_program_text(),
         delta_specs in proptest::collection::vec(arb_rule_spec(), 0..4),

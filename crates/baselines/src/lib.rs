@@ -18,6 +18,7 @@
 //! assert_eq!(tree.predict(&[Feature::Num(5.0)]), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -5,10 +5,11 @@
 //! requests against the scenario's ground-truth policy) through a
 //! [`PdpServer`], then writes `BENCH_pdp.json` at the repository root:
 //! threads × throughput, a single-thread parity check of the serving tier
-//! against the legacy stateful [`Pdp`] path, and a stale-epoch stress that
-//! swaps snapshots mid-stream and counts decisions that disagree with the
-//! policy set of the epoch that answered them. The JSON schema is documented in
-//! `docs/SERVING.md`.
+//! against the independent reference PDP
+//! ([`agenp_refsem::reference::decide_reference`]), and a stale-epoch
+//! stress that swaps snapshots mid-stream and counts decisions that
+//! disagree with the policy set of the epoch that answered them. The JSON
+//! schema is documented in `docs/SERVING.md`.
 //!
 //! Since schema v2 the harness also puts the PDP on the wire: it boots an
 //! in-process `agenp-pdpd` HTTP/1.1 server on an ephemeral loopback port,
@@ -30,9 +31,8 @@ use agenp_bench::server::PdpServer;
 use agenp_core::arch::{DecisionSnapshot, PdpHandle};
 use agenp_core::scenarios::xacml::{ground_truth_policy, XacmlRequest};
 use agenp_pdpd::{run_load, LoadOptions, PdpdServer, ServerOptions};
-use agenp_policy::{
-    evaluate_policies, CombiningAlg, Decision, Pdp, Policy, PolicyRepository, PolicyRule, Request,
-};
+use agenp_policy::{evaluate_policies, CombiningAlg, Decision, Policy, PolicyRule, Request};
+use agenp_refsem::reference::decide_reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -46,7 +46,7 @@ struct ThroughputRow {
     throughput: f64,
 }
 
-/// The serving-tier vs legacy-PDP parity result.
+/// The serving-tier vs reference-PDP parity result.
 struct ParityOutcome {
     requests: usize,
     mismatches: usize,
@@ -132,7 +132,7 @@ fn main() {
     }
     if parity.mismatches > 0 {
         eprintln!(
-            "pdp: serving tier disagreed with the legacy Pdp on {} of {} requests",
+            "pdp: serving tier disagreed with the reference PDP on {} of {} requests",
             parity.mismatches, parity.requests
         );
         std::process::exit(1);
@@ -241,14 +241,10 @@ fn run_throughput(
 }
 
 /// Single-thread parity: the serving tier (handle and pinned path both)
-/// must render bit-identical decisions to the legacy stateful [`Pdp`] over
-/// a fresh randomized request stream.
+/// must render the same decisions as the naive reference PDP, which
+/// shares no evaluation code with it, over a fresh randomized request
+/// stream.
 fn run_parity(policies: &[Policy], requests: usize, seed: u64) -> ParityOutcome {
-    let mut repo = PolicyRepository::new();
-    for p in policies {
-        repo.add(p.clone());
-    }
-    let mut legacy = Pdp::new(CombiningAlg::DenyOverrides);
     let handle = PdpHandle::new();
     handle.publish(DecisionSnapshot::new(
         policies.to_vec(),
@@ -259,7 +255,7 @@ fn run_parity(policies: &[Policy], requests: usize, seed: u64) -> ParityOutcome 
     let mut mismatches = 0usize;
     for _ in 0..requests {
         let req = XacmlRequest::random(&mut rng).to_request();
-        let expected = legacy.decide(&repo, &req);
+        let expected = decide_reference(policies, CombiningAlg::DenyOverrides, &req);
         let via_handle = handle.decide(&req).decision;
         let via_pin = pin.decide(&req).decision;
         if via_handle != expected || via_pin != expected {
@@ -436,7 +432,7 @@ fn print_tables(
         );
     }
     println!(
-        "\nparity vs legacy Pdp: {}/{} identical",
+        "\nparity vs reference PDP: {}/{} identical",
         parity.requests - parity.mismatches,
         parity.requests
     );

@@ -19,6 +19,9 @@ use agenp_learn::{CompileOptions, LearnOptions, LearnStats, Learner};
 use std::path::PathBuf;
 use std::time::Instant;
 
+/// Version tag of the `BENCH_asp.json` layout (see `docs/PERFORMANCE.md`).
+const SCHEMA: &str = "agenp-bench/perf/v2";
+
 /// One grounder measurement.
 struct GroundRow {
     workload: &'static str,
@@ -80,6 +83,10 @@ fn main() {
         eprintln!("perf: BENCH_asp.json is not valid JSON: {e}");
         std::process::exit(1);
     }
+    if !on_disk.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+        eprintln!("perf: BENCH_asp.json does not declare schema {SCHEMA}");
+        std::process::exit(1);
+    }
     for key in ["\"grounding\"", "\"solving\"", "\"learning\"", "\"claims\""] {
         if !on_disk.contains(key) {
             eprintln!("perf: BENCH_asp.json is missing the {key} section");
@@ -139,19 +146,16 @@ fn run_grounding(smoke: bool) -> Vec<GroundRow> {
             ("birds", vec![50, 100, 200], birds_program),
         ]
     };
-    let serial = GroundOptions::default().with_parallelism(1);
+    let opts = GroundOptions::default();
     let mut rows = Vec::new();
     for (name, scales, build) in workloads {
-        let max_n = *scales.last().expect("workloads have scales");
         for n in scales {
             let p = build(n);
             // Warmup + best-of-3: first-touch allocation and interner costs
             // used to make the first seminaive row measure *slower* than
             // naive on small programs.
-            let (micros, (g, stats)) = time_best_of(3, || {
-                ground_with_stats(&p, serial).expect("workload grounds")
-            });
-            let serial_render = g.to_string();
+            let (micros, (g, stats)) =
+                time_best_of(3, || ground_with_stats(&p, opts).expect("workload grounds"));
             rows.push(GroundRow {
                 workload: name,
                 n,
@@ -162,8 +166,7 @@ fn run_grounding(smoke: bool) -> Vec<GroundRow> {
                 rules: g.len(),
             });
             let (micros, (g, stats)) = time_best_of(3, || {
-                ground_with_stats(&p, serial.with_mode(GroundMode::Naive))
-                    .expect("workload grounds")
+                ground_with_stats(&p, opts.with_mode(GroundMode::Naive)).expect("workload grounds")
             });
             rows.push(GroundRow {
                 workload: name,
@@ -174,38 +177,13 @@ fn run_grounding(smoke: bool) -> Vec<GroundRow> {
                 atoms: g.atoms().len(),
                 rules: g.len(),
             });
-            // At the top scale, run the work-stealing pool configuration and
-            // hold it to byte-identical output (thread scaling itself is
-            // read against the `cpus` claim, as BENCH_pdp.json does).
-            if n == max_n {
-                let pooled = GroundOptions::default()
-                    .with_parallelism(4)
-                    .with_parallel_grain(16);
-                let (micros, (g, stats)) = time_best_of(3, || {
-                    ground_with_stats(&p, pooled).expect("workload grounds")
-                });
-                assert_eq!(
-                    g.to_string(),
-                    serial_render,
-                    "parallel grounding must be byte-identical to serial ({name} n={n})"
-                );
-                rows.push(GroundRow {
-                    workload: name,
-                    n,
-                    engine: "seminaive_t4",
-                    micros,
-                    stats,
-                    atoms: g.atoms().len(),
-                    rules: g.len(),
-                });
-            }
         }
     }
     rows
 }
 
 /// Join waste (candidates probed per rule actually instantiated) on the
-/// largest serial semi-naive row of `workload`. This is the figure the
+/// largest semi-naive row of `workload`. This is the figure the
 /// argument-value indices exist to hold down.
 fn waste_ratio(rows: &[GroundRow], workload: &str) -> f64 {
     rows.iter()
@@ -225,8 +203,7 @@ fn run_solving(smoke: bool) -> Vec<SolveRow> {
         // absorb one-time costs and make larger scales read *faster* than
         // smaller ones.
         let (ground_micros, g) = time_best_of(3, || {
-            let (g, _) = ground_with_stats(&p, GroundOptions::default().with_parallelism(1))
-                .expect("grounds");
+            let (g, _) = ground_with_stats(&p, GroundOptions::default()).expect("grounds");
             g
         });
         let (solve_micros, r) = time_best_of(3, || solver.solve(&g));
@@ -243,24 +220,23 @@ fn run_solving(smoke: bool) -> Vec<SolveRow> {
 }
 
 /// Runs CAV and XACML learning under the default configuration (delta
-/// grounding + evaluation memo) and the ablation (naive re-grounding, no
-/// memo). Returns the rows plus the headline naive/delta rule-instantiation
-/// ratio on the largest CAV scale.
+/// grounding) and the ablation (naive re-grounding). Returns the rows plus
+/// the headline naive/delta rule-instantiation ratio on the largest CAV
+/// scale.
 fn run_learning(smoke: bool) -> (Vec<LearnRow>, f64) {
     let cav_scales: &[usize] = if smoke { &[4] } else { &[4, 8, 12] };
     let xacml_scales: &[usize] = if smoke { &[20] } else { &[40, 100] };
     let delta_opts = LearnOptions::default().with_force_generic(true);
     let naive_opts = LearnOptions::default()
         .with_force_generic(true)
-        .with_eval_cache(false)
         .with_compile(CompileOptions::default().with_naive_ground(true));
     let mut rows = Vec::new();
     let mut ratio = 0.0;
     for &n in cav_scales {
         let train = cav::samples(n, 7);
         let task = cav::learning_task(&train, None);
-        let delta = measure_learn("cav", n, "delta_cached", delta_opts, &task);
-        let naive = measure_learn("cav", n, "naive_uncached", naive_opts, &task);
+        let delta = measure_learn("cav", n, "delta", delta_opts, &task);
+        let naive = measure_learn("cav", n, "naive", naive_opts, &task);
         let delta_work = delta.stats.rules_instantiated.max(1);
         ratio = naive.stats.rules_instantiated as f64 / delta_work as f64;
         rows.push(delta);
@@ -358,23 +334,14 @@ fn print_tables(
             r.workload, r.n, r.ground_micros, r.solve_micros, r.models, r.decisions
         );
     }
-    println!("\n-- end-to-end learning: delta+memo vs naive ablation --");
+    println!("\n-- end-to-end learning: delta vs naive ablation --");
     println!(
-        "{:>10} {:>6} {:>16} {:>10} {:>6} {:>8} {:>12} {:>8} {:>8} {:>8}",
-        "workload",
-        "n",
-        "config",
-        "micros",
-        "cost",
-        "passes",
-        "instantiated",
-        "solves",
-        "hits",
-        "misses"
+        "{:>10} {:>6} {:>16} {:>10} {:>6} {:>8} {:>12} {:>8}",
+        "workload", "n", "config", "micros", "cost", "passes", "instantiated", "solves"
     );
     for r in learn_rows {
         println!(
-            "{:>10} {:>6} {:>16} {:>10} {:>6} {:>8} {:>12} {:>8} {:>8} {:>8}",
+            "{:>10} {:>6} {:>16} {:>10} {:>6} {:>8} {:>12} {:>8}",
             r.workload,
             r.n,
             r.config,
@@ -382,9 +349,7 @@ fn print_tables(
             r.cost,
             r.stats.grounding_passes,
             r.stats.rules_instantiated,
-            r.stats.solver_calls,
-            r.stats.eval_cache_hits,
-            r.stats.eval_cache_misses
+            r.stats.solver_calls
         );
     }
     println!("\ncav naive/delta rule-instantiation ratio: {cav_ratio:.1}x");
@@ -434,8 +399,7 @@ fn render_json(
             format!(
                 "{{\"workload\": \"{}\", \"n\": {}, \"config\": \"{}\", \"micros\": {}, \
                  \"cost\": {}, \"grounding_passes\": {}, \"rules_instantiated\": {}, \
-                 \"solver_calls\": {}, \"eval_cache_hits\": {}, \"eval_cache_misses\": {}, \
-                 \"search_nodes\": {}, \"used_monotone\": {}}}",
+                 \"solver_calls\": {}, \"search_nodes\": {}, \"used_monotone\": {}}}",
                 r.workload,
                 r.n,
                 r.config,
@@ -444,8 +408,6 @@ fn render_json(
                 r.stats.grounding_passes,
                 r.stats.rules_instantiated,
                 r.stats.solver_calls,
-                r.stats.eval_cache_hits,
-                r.stats.eval_cache_misses,
                 r.stats.search_nodes,
                 r.stats.used_monotone
             )
@@ -453,7 +415,7 @@ fn render_json(
         .collect();
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     format!(
-        "{{\n\"schema\": \"agenp-bench/perf/v1\",\n\"smoke\": {},\n\
+        "{{\n\"schema\": \"{SCHEMA}\",\n\"smoke\": {},\n\
          \"grounding\": [\n{}\n],\n\"solving\": [\n{}\n],\n\"learning\": [\n{}\n],\n\
          \"claims\": {{\"cav_naive_over_delta_rule_instantiations\": {:.3}, \
          \"ground_waste_ratio_coloring\": {:.3}, \

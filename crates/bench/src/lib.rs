@@ -4,6 +4,7 @@
 //! `report` binary that regenerates every figure and quantitative claim of
 //! the paper (see EXPERIMENTS.md for the experiment index).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use agenp_asp::Program;

@@ -16,6 +16,7 @@
 //! backoff, and surfaced as degraded [`CoalitionOutcome`]s instead of
 //! panics (see `docs/RESILIENCE.md`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(clippy::unwrap_used)]

@@ -33,11 +33,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod arch;
 pub mod explain;
 pub mod scenarios;
-
-pub use agenp_asp::Parallelism;

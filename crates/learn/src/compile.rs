@@ -13,7 +13,7 @@ use crate::example::Example;
 use crate::space::Candidate;
 use agenp_asp::{
     ground_with_stats, Atom, Bindings, CmpOp, GroundError, GroundMode, GroundOptions, GroundStats,
-    IncrementalGrounder, Literal, Parallelism, Program, Rule, Solver, Symbol, Trace,
+    IncrementalGrounder, Literal, Program, Rule, Solver, Symbol, Trace,
 };
 use agenp_grammar::{Asg, EarleyParser, ParseOptions, ParseTree, ProdId};
 use std::collections::HashMap;
@@ -225,9 +225,6 @@ pub struct CompileOptions {
     /// learner then re-grounds base + hypothesis from scratch per
     /// evaluation.
     pub naive_ground: bool,
-    /// Grounder worker-thread policy for base saturation and delta
-    /// evaluation (see [`Parallelism`] for the resolution order).
-    pub parallelism: Parallelism,
 }
 
 impl Default for CompileOptions {
@@ -236,7 +233,6 @@ impl Default for CompileOptions {
             max_trees: 16,
             max_worlds: 64,
             naive_ground: false,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -258,17 +254,6 @@ impl CompileOptions {
     pub fn with_naive_ground(mut self, naive_ground: bool) -> CompileOptions {
         self.naive_ground = naive_ground;
         self
-    }
-
-    /// Sets the unified grounder worker-thread policy.
-    pub fn with_parallelism(mut self, parallelism: impl Into<Parallelism>) -> CompileOptions {
-        self.parallelism = parallelism.into();
-        self
-    }
-
-    /// The parallelism policy these options apply.
-    pub fn effective_parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 }
 
@@ -365,7 +350,7 @@ pub fn compile_example(
         // Ground the base once. The incremental grounder saturates it and
         // keeps the state around so candidate hypotheses can later be
         // grounded as deltas without redoing this work.
-        let gopts = GroundOptions::default().with_parallelism(opts.effective_parallelism());
+        let gopts = GroundOptions::default();
         let (g, grounder) = if opts.naive_ground {
             let (g, st) = ground_with_stats(&base, gopts.with_mode(GroundMode::Naive))?;
             ground_stats.absorb(st);

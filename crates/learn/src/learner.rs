@@ -13,7 +13,8 @@
 //!   constraint then behaves as a pure filter, and optimal learning becomes
 //!   a weighted hitting-set problem solved by branch and bound.
 //! * **Generic** (spaces with normal rules): iterative-deepening search over
-//!   hypothesis subsets with memoized full answer-set coverage checks.
+//!   hypothesis subsets with full answer-set coverage checks, each a delta
+//!   grounding over the example tree's saturated base.
 
 use crate::compile::{compile_example, CompileOptions, CompiledExample};
 use crate::example::Example;
@@ -206,10 +207,6 @@ pub struct LearnStats {
     pub rules_instantiated: u64,
     /// Stable-model solver invocations.
     pub solver_calls: u64,
-    /// Hypothesis evaluations answered from the memo without re-grounding.
-    pub eval_cache_hits: u64,
-    /// Hypothesis evaluations that had to ground and solve.
-    pub eval_cache_misses: u64,
 }
 
 impl LearnStats {
@@ -248,9 +245,6 @@ pub struct LearnOptions {
     pub branching: Branching,
     /// Wall-clock deadline for the hypothesis search (default: none).
     pub deadline: Deadline,
-    /// Memoize hypothesis evaluations on the generic path (disable for
-    /// ablation benchmarks; results must be identical either way).
-    pub eval_cache: bool,
 }
 
 impl Default for LearnOptions {
@@ -262,7 +256,6 @@ impl Default for LearnOptions {
             max_nodes: 2_000_000,
             branching: Branching::Guided,
             deadline: Deadline::none(),
-            eval_cache: true,
         }
     }
 }
@@ -301,13 +294,6 @@ impl LearnOptions {
     /// Sets the wall-clock deadline for the hypothesis search.
     pub fn with_deadline(mut self, deadline: Deadline) -> LearnOptions {
         self.deadline = deadline;
-        self
-    }
-
-    /// Enables or disables hypothesis-evaluation memoization on the
-    /// generic path (disable for ablation benchmarks).
-    pub fn with_eval_cache(mut self, eval_cache: bool) -> LearnOptions {
-        self.eval_cache = eval_cache;
         self
     }
 }
@@ -367,7 +353,6 @@ impl Learner {
                     span.record("hypothesis_rules", hypothesis.rules.len());
                     span.record("monotone", stats.used_monotone);
                     span.record("search_nodes", stats.search_nodes);
-                    span.record("eval_cache_hits", stats.eval_cache_hits);
                     crate::obs::LearnMetrics::publish(stats);
                 }
                 Err(_) => span.record("error", true),
@@ -575,7 +560,6 @@ impl Learner {
         stats: &mut LearnStats,
     ) -> Result<Hypothesis, LearnError> {
         let candidates = task.space.candidates();
-        let mut cache: HashMap<(usize, usize, Vec<u32>), bool> = HashMap::new();
         // Iterative deepening over rule cost.
         let max_rule_cost: u64 = candidates
             .iter()
@@ -590,13 +574,11 @@ impl Learner {
             }
             let mut chosen: Vec<u32> = Vec::new();
             self.generic_dfs(
-                task,
                 compiled,
                 candidates,
                 0,
                 budget,
                 &mut chosen,
-                &mut cache,
                 stats,
                 &mut deadline_hit,
                 &mut best,
@@ -649,13 +631,11 @@ impl Learner {
     #[allow(clippy::too_many_arguments)]
     fn generic_dfs(
         &self,
-        task: &LearningTask,
         compiled: &[CompiledExample],
         candidates: &[Candidate],
         next: usize,
         budget: u64,
         chosen: &mut Vec<u32>,
-        cache: &mut HashMap<(usize, usize, Vec<u32>), bool>,
         stats: &mut LearnStats,
         deadline_hit: &mut bool,
         best: &mut Option<BestSolution>,
@@ -674,7 +654,7 @@ impl Learner {
             .map(|&c| u64::from(candidates[c as usize].cost))
             .sum();
         if rule_cost == budget {
-            self.evaluate_generic(task, compiled, candidates, chosen, cache, stats, best)?;
+            self.evaluate_generic(compiled, candidates, chosen, stats, best)?;
             return Ok(());
         }
         if next >= candidates.len() || rule_cost > budget {
@@ -685,13 +665,11 @@ impl Learner {
         if rule_cost + c_cost <= budget {
             chosen.push(next as u32);
             self.generic_dfs(
-                task,
                 compiled,
                 candidates,
                 next + 1,
                 budget,
                 chosen,
-                cache,
                 stats,
                 deadline_hit,
                 best,
@@ -699,27 +677,22 @@ impl Learner {
             chosen.pop();
         }
         self.generic_dfs(
-            task,
             compiled,
             candidates,
             next + 1,
             budget,
             chosen,
-            cache,
             stats,
             deadline_hit,
             best,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_generic(
         &self,
-        _task: &LearningTask,
         compiled: &[CompiledExample],
         candidates: &[Candidate],
         chosen: &[u32],
-        cache: &mut HashMap<(usize, usize, Vec<u32>), bool>,
         stats: &mut LearnStats,
         best: &mut Option<BestSolution>,
     ) -> Result<(), LearnError> {
@@ -731,60 +704,38 @@ impl Learner {
         let mut sacrificed = Vec::new();
         for (ei, ex) in compiled.iter().enumerate() {
             let mut accepted = false;
-            for (ti, tree) in ex.trees.iter().enumerate() {
+            for tree in &ex.trees {
                 // Only candidates whose target occurs in this tree matter.
-                let relevant: Vec<u32> = chosen
-                    .iter()
-                    .copied()
-                    .filter(|&ci| {
-                        tree.traces_by_prod
-                            .contains_key(&candidates[ci as usize].target)
-                    })
-                    .collect();
-                let key = (ei, ti, relevant.clone());
-                let cached = if self.options.eval_cache {
-                    cache.get(&key).copied()
-                } else {
-                    None
-                };
-                let ok = if let Some(v) = cached {
-                    stats.eval_cache_hits += 1;
-                    v
-                } else {
-                    stats.eval_cache_misses += 1;
-                    let mut delta: Vec<Rule> = Vec::new();
-                    for &ci in &relevant {
-                        delta.extend(tree.instantiate(&candidates[ci as usize]));
+                let mut delta: Vec<Rule> = Vec::new();
+                for &ci in chosen {
+                    let c = &candidates[ci as usize];
+                    if tree.traces_by_prod.contains_key(&c.target) {
+                        delta.extend(tree.instantiate(c));
                     }
-                    // The hypothesis is a delta over the tree's saturated base
-                    // grounding; only ablation runs re-ground from scratch.
-                    let g = match &tree.grounder {
-                        Some(grounder) => {
-                            let (g, st) = grounder.ground_delta_with_stats(&delta)?;
-                            stats.absorb_ground(st);
-                            g
-                        }
-                        None => {
-                            let mut program: Program = tree.base.clone();
-                            for rule in delta {
-                                program.push(rule);
-                            }
-                            let (g, st) = ground_with_stats(
-                                &program,
-                                GroundOptions::default().with_mode(GroundMode::Naive),
-                            )?;
-                            stats.absorb_ground(st);
-                            g
-                        }
-                    };
-                    let v = Solver::new().max_models(1).solve(&g).satisfiable();
-                    stats.solver_calls += 1;
-                    if self.options.eval_cache {
-                        cache.insert(key, v);
+                }
+                // The hypothesis is a delta over the tree's saturated base
+                // grounding; only ablation runs re-ground from scratch.
+                let g = match &tree.grounder {
+                    Some(grounder) => {
+                        let (g, st) = grounder.ground_delta_with_stats(&delta)?;
+                        stats.absorb_ground(st);
+                        g
                     }
-                    v
+                    None => {
+                        let mut program: Program = tree.base.clone();
+                        for rule in delta {
+                            program.push(rule);
+                        }
+                        let (g, st) = ground_with_stats(
+                            &program,
+                            GroundOptions::default().with_mode(GroundMode::Naive),
+                        )?;
+                        stats.absorb_ground(st);
+                        g
+                    }
                 };
-                if ok {
+                stats.solver_calls += 1;
+                if Solver::new().max_models(1).solve(&g).satisfiable() {
                     accepted = true;
                     break;
                 }

@@ -351,8 +351,8 @@ fn world_cap_falls_back_to_generic_path() {
     assert!(task.violations(&h).unwrap().is_empty());
 }
 
-/// A generic-path task (normal rules in the space) for the evaluation-cache
-/// and grounder ablation tests.
+/// A generic-path task (normal rules in the space) for the grounder
+/// ablation tests.
 fn generic_task() -> LearningTask {
     let g: Asg = r#"
         policy -> "allow" { :- not ok. }
@@ -361,9 +361,7 @@ fn generic_task() -> LearningTask {
     .parse()
     .unwrap();
     // The last candidate targets the `deny` production, which no example
-    // parses through: hypothesis subsets that differ only in it project onto
-    // the same relevant set per tree, which is what makes the evaluation
-    // memo earn hits.
+    // parses through, so it is irrelevant to every example tree.
     let space = HypothesisSpace::from_texts(&[
         (pid(0), "ok :- sunny."),
         (pid(0), "ok :- rainy."),
@@ -375,53 +373,28 @@ fn generic_task() -> LearningTask {
 }
 
 #[test]
-fn eval_cache_does_not_change_results() {
-    use agenp_learn::CompileOptions;
-    let task = generic_task();
-    let (with_cache, cached_stats) =
-        Learner::with_options(LearnOptions::default().with_force_generic(true))
-            .learn_with_stats(&task)
-            .unwrap();
-    let (without_cache, uncached_stats) = Learner::with_options(
-        LearnOptions::default()
-            .with_force_generic(true)
-            .with_eval_cache(false)
-            .with_compile(CompileOptions::default().with_naive_ground(true)),
-    )
-    .learn_with_stats(&task)
-    .unwrap();
-    // Identical hypotheses regardless of cache and grounder choice.
-    assert_eq!(with_cache.cost, without_cache.cost);
-    assert_eq!(
-        with_cache.rules[0].1.to_string(),
-        without_cache.rules[0].1.to_string()
-    );
-    assert!(task.violations(&with_cache).unwrap().is_empty());
-    assert!(task.violations(&without_cache).unwrap().is_empty());
-    // The memo actually fires on the default path and never on the ablation.
-    assert!(cached_stats.eval_cache_hits > 0, "stats: {cached_stats:?}");
-    assert_eq!(uncached_stats.eval_cache_hits, 0);
-    assert!(uncached_stats.eval_cache_misses >= cached_stats.eval_cache_misses);
-}
-
-#[test]
 fn delta_grounding_instantiates_fewer_rules_than_naive() {
     use agenp_learn::CompileOptions;
     let task = generic_task();
-    let (_, fast) = Learner::with_options(LearnOptions::default().with_force_generic(true))
+    let (delta_h, fast) = Learner::with_options(LearnOptions::default().with_force_generic(true))
         .learn_with_stats(&task)
         .unwrap();
-    let (_, slow) = Learner::with_options(
+    let (naive_h, slow) = Learner::with_options(
         LearnOptions::default()
             .with_force_generic(true)
-            .with_eval_cache(false)
             .with_compile(CompileOptions::default().with_naive_ground(true)),
     )
     .learn_with_stats(&task)
     .unwrap();
+    // Identical hypotheses whichever grounder evaluates them.
+    assert_eq!(delta_h.cost, naive_h.cost);
+    assert_eq!(
+        delta_h.rules[0].1.to_string(),
+        naive_h.rules[0].1.to_string()
+    );
     assert!(
         fast.rules_instantiated < slow.rules_instantiated,
-        "delta+cache {} vs naive {}",
+        "delta {} vs naive {}",
         fast.rules_instantiated,
         slow.rules_instantiated
     );

@@ -34,6 +34,8 @@
 //! Naming scheme, span taxonomy, and the dump schema are documented in
 //! `docs/OBSERVABILITY.md`.
 
+#![forbid(unsafe_code)]
+
 mod export;
 mod metrics;
 mod recorder;

@@ -15,6 +15,8 @@
 //!   dump when telemetry is enabled.
 //! - `GET /healthz` — liveness.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod http;
 pub mod json;

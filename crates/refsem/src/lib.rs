@@ -39,6 +39,7 @@
 //! agenp_refsem::diff::run_pdp_case(7).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
