@@ -748,11 +748,13 @@ struct Emission {
 }
 
 /// A work unit's result: counters plus its emissions in walk order.
-#[derive(Default)]
 struct UnitOut {
     rules_instantiated: u64,
     join_candidates: u64,
     emissions: Vec<Emission>,
+    /// The buffer length past which the unit next counts the atoms its
+    /// emissions would add (see [`check_buffer`]).
+    check_at: usize,
 }
 
 /// One work unit of a saturation pass: a rule variant and the window plan
@@ -822,12 +824,16 @@ struct WalkFrame<'w, 'p> {
 }
 
 /// Evaluates one unit against the frozen view, returning its emissions and
-/// counters. A unit whose emission buffer alone exceeds the atom budget
-/// fails fast with [`GroundError::Budget`] — a pessimistic bound (the exact
-/// check happens at merge) that keeps a single unit from buffering
-/// unbounded memory.
+/// counters. A unit whose emissions alone would take the atom table past
+/// the budget fails fast with [`GroundError::Budget`], before the merge
+/// would (see [`check_buffer`]).
 fn eval_unit(view: &EvalView<'_>, unit: &Unit<'_, '_>) -> Result<UnitOut, GroundError> {
-    let mut out = UnitOut::default();
+    let mut out = UnitOut {
+        rules_instantiated: 0,
+        join_candidates: 0,
+        emissions: Vec::new(),
+        check_at: view.max_atoms,
+    };
     let frame = WalkFrame {
         view,
         rule: unit.rule,
@@ -837,6 +843,31 @@ fn eval_unit(view: &EvalView<'_>, unit: &Unit<'_, '_>) -> Result<UnitOut, Ground
     let mut path = Vec::new();
     walk_unit(&frame, 0, 0, &mut bindings, &mut path, &mut out)?;
     Ok(out)
+}
+
+/// Counts the distinct atoms `out`'s buffered emissions would add to the
+/// table and fails with [`GroundError::Budget`] when the table would then
+/// exceed `max_atoms` — the merge would fail on the same count, so the
+/// early failure is exact. Otherwise doubles the threshold of the next
+/// count. `max_atoms` caps distinct atoms, not emissions: many emissions of
+/// one head (`r :- n(X), n(Y).`) pass. A unit buffering at most
+/// `max_atoms` emissions never counts.
+fn check_buffer(view: &EvalView<'_>, out: &mut UnitOut) -> Result<(), GroundError> {
+    let mut fresh: HashSet<&Atom> = HashSet::new();
+    for em in &out.emissions {
+        for atom in em.head.iter().chain(&em.negs) {
+            if view.table.get(atom).is_none() {
+                fresh.insert(atom);
+            }
+        }
+    }
+    if view.table.len() + fresh.len() > view.max_atoms {
+        return Err(GroundError::Budget {
+            max_atoms: view.max_atoms,
+        });
+    }
+    out.check_at = out.check_at.saturating_mul(2);
+    Ok(())
 }
 
 fn walk_unit(
@@ -876,10 +907,8 @@ fn walk_unit(
         pos.sort_unstable();
         pos.dedup();
         out.emissions.push(Emission { head, pos, negs });
-        if out.emissions.len() > view.max_atoms {
-            return Err(GroundError::Budget {
-                max_atoms: view.max_atoms,
-            });
+        if out.emissions.len() > out.check_at {
+            check_buffer(view, out)?;
         }
         return Ok(());
     }
@@ -1808,6 +1837,29 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, GroundError::Budget { .. }));
         assert_eq!(err.exhausted(), Some(Exhausted::Atoms));
+    }
+
+    #[test]
+    fn budget_caps_atoms_not_buffered_emissions() {
+        // 90,000 instantiations of one head: 301 atoms in all, far under
+        // either budget.
+        let p: Program = "
+            n(1..300).
+            r :- n(X), n(Y).
+        "
+        .parse()
+        .unwrap();
+        for max_atoms in [1_000, 80_000] {
+            let g = ground_with(
+                &p,
+                GroundOptions {
+                    max_atoms,
+                    ..GroundOptions::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("max_atoms {max_atoms}: {e}"));
+            assert_eq!(g.table.len(), 301);
+        }
     }
 
     #[test]

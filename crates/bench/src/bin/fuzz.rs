@@ -4,7 +4,9 @@
 //! Each case is one seed pushed through one of the harness's runners:
 //! fast-vs-reference differential checks for the ASP solver, the serving
 //! PDP (all four `decide`/`decide_batch` paths), and ASG membership, plus
-//! the metamorphic transform suites. Any mismatch prints a one-line repro
+//! the metamorphic transform suites and the `wire` kind: pdpd's one-pass
+//! body decoders and buffer encoders against the tree-based reference on
+//! perturbed and faulty bodies (`agenp_bench::wire_fuzz`). Any mismatch prints a one-line repro
 //! leading with the seed — `(repro: run_pdp_case(8231))` — and exits
 //! nonzero, so CI failures replay locally from a single integer.
 //!
@@ -19,6 +21,7 @@
 //!                  e.g. AGENP_FUZZ_CASES=100000).
 //!   --base N       first seed (default 0; shift to explore new ground).
 
+use agenp_bench::wire_fuzz::run_wire_case;
 use agenp_refsem::{
     run_asg_case, run_asp_case, run_metamorphic_asp_case, run_metamorphic_pdp_case, run_pdp_case,
 };
@@ -40,6 +43,10 @@ const KINDS: [(&str, CaseRunner); 4] = [
 /// Every `ASG_EVERY`-th case additionally runs the grammar differential.
 const ASG_EVERY: u64 = 16;
 
+/// Every `WIRE_EVERY`-th case additionally runs the wire differential, on
+/// top of the rotation so the other kinds keep their seeds.
+const WIRE_EVERY: u64 = 2;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -58,6 +65,7 @@ fn main() {
     let start = Instant::now();
     let mut per_kind = [0u64; KINDS.len()];
     let mut asg_cases = 0u64;
+    let mut wire_cases = 0u64;
     let mut failures = 0u32;
 
     for i in 0..cases {
@@ -76,6 +84,13 @@ fn main() {
             }
             asg_cases += 1;
         }
+        if i % WIRE_EVERY == 0 {
+            if let Err(msg) = run_wire_case(seed) {
+                eprintln!("FAIL [wire] {msg}");
+                failures += 1;
+            }
+            wire_cases += 1;
+        }
         if failures >= 10 {
             eprintln!("fuzz: stopping after {failures} failures");
             break;
@@ -87,9 +102,10 @@ fn main() {
         println!("  {kind}: {} cases", per_kind[slot]);
     }
     println!("  asg: {asg_cases} cases");
+    println!("  wire: {wire_cases} cases");
     println!(
         "fuzz: {} checks in {:.1}s, {failures} failure(s)",
-        per_kind.iter().sum::<u64>() + asg_cases,
+        per_kind.iter().sum::<u64>() + asg_cases + wire_cases,
         elapsed.as_secs_f64()
     );
     if failures > 0 {

@@ -12,6 +12,7 @@ use agenp_grammar::Asg;
 
 pub mod json;
 pub mod server;
+pub mod wire_fuzz;
 
 /// A 2-colorable ring-coloring program over `n` nodes — a classic
 /// non-stratified benchmark with answer sets for the solver to enumerate.

@@ -17,7 +17,10 @@
 //! * [`PdpHandle`] — a cheap `Clone` handle over the slot, and [`PdpPin`],
 //!   one worker's pinned view of it. Both offer `decide` and
 //!   `decide_batch` over one internal path: resolve the snapshot, then
-//!   evaluate; a batch is a loop under one snapshot.
+//!   evaluate; a batch is resolved into a [`ResolvedBatch`] and decided
+//!   under one snapshot with one evaluation scratch.
+//!   [`PdpPin::decide_resolved`] lets a wire decoder resolve its requests
+//!   straight against the pinned snapshot's compiled set.
 
 use crate::arch::ams::AmsError;
 use crate::arch::obs::ServeMetrics;
@@ -25,7 +28,7 @@ use agenp_asp::{Program, RunBudget};
 use agenp_grammar::Asg;
 use agenp_policy::{
     CombiningAlg, CompiledPolicySet, Decision, DecisionEffects, Enforcement, Obligation, Pep,
-    Policy, Request,
+    Policy, Request, ResolvedBatch,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -290,7 +293,42 @@ impl PdpShared {
     /// under the already-resolved `snapshot` and assemble the outcome.
     fn outcome(&self, snapshot: &DecisionSnapshot, request: &Request) -> DecisionOutcome {
         self.decisions.add(1);
-        let effects = snapshot.decide_effects(request);
+        self.assemble(snapshot, snapshot.decide_effects(request))
+    }
+
+    /// A batch: every request resolved against the snapshot's compiled
+    /// set, then decided in order with one evaluation scratch.
+    fn outcomes(&self, snapshot: &DecisionSnapshot, requests: &[Request]) -> Vec<DecisionOutcome> {
+        let mut batch = ResolvedBatch::new(&snapshot.compiled);
+        for request in requests {
+            batch.push_request(request);
+        }
+        self.resolved_outcomes(snapshot, &batch)
+    }
+
+    /// Decides `batch`, which was resolved against `snapshot`'s compiled
+    /// set. A degraded snapshot denies every request bare, as
+    /// [`DecisionSnapshot::decide_effects`] does.
+    fn resolved_outcomes(
+        &self,
+        snapshot: &DecisionSnapshot,
+        batch: &ResolvedBatch<'_>,
+    ) -> Vec<DecisionOutcome> {
+        self.decisions.add(batch.len() as u64);
+        if snapshot.is_degraded() {
+            let deny = DecisionEffects::bare(Decision::Deny);
+            return (0..batch.len())
+                .map(|_| self.assemble(snapshot, deny.clone()))
+                .collect();
+        }
+        batch
+            .effects()
+            .map(|effects| self.assemble(snapshot, effects))
+            .collect()
+    }
+
+    /// The outcome of `effects` rendered under `snapshot`.
+    fn assemble(&self, snapshot: &DecisionSnapshot, effects: DecisionEffects) -> DecisionOutcome {
         DecisionOutcome {
             decision: effects.decision,
             obligations: effects.obligations,
@@ -299,11 +337,6 @@ impl PdpShared {
             error: snapshot.error.clone(),
             epoch: snapshot.epoch,
         }
-    }
-
-    /// A batch: the same path, looped under one snapshot.
-    fn outcomes(&self, snapshot: &DecisionSnapshot, requests: &[Request]) -> Vec<DecisionOutcome> {
-        requests.iter().map(|r| self.outcome(snapshot, r)).collect()
     }
 }
 
@@ -534,6 +567,30 @@ impl PdpPin {
         )
     }
 
+    /// Decodes and decides a batch under one snapshot: revalidates once,
+    /// lets `decode` resolve requests into a [`ResolvedBatch`] over the
+    /// pinned snapshot's compiled set, then decides them all under that
+    /// same snapshot (same consistency contract as
+    /// [`PdpPin::decide_batch`], and element-wise equal to it on the
+    /// requests `decode` resolved). No [`Request`] is built on this path.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `decode` fails with; nothing is decided then.
+    pub fn decide_resolved<E>(
+        &mut self,
+        decode: impl FnOnce(&mut ResolvedBatch<'_>) -> Result<(), E>,
+    ) -> Result<Vec<DecisionOutcome>, E> {
+        self.revalidate();
+        let mut batch = ResolvedBatch::new(&self.snapshot.compiled);
+        decode(&mut batch)?;
+        let shared = &self.handle.inner;
+        Ok(mirrored(
+            || shared.resolved_outcomes(&self.snapshot, &batch),
+            Vec::len,
+        ))
+    }
+
     /// The snapshot currently pinned (as of the last [`PdpPin::decide`]).
     pub fn snapshot(&self) -> &DecisionSnapshot {
         &self.snapshot
@@ -717,6 +774,53 @@ mod tests {
         assert_eq!(outcome.decision(), Decision::NotApplicable);
         assert_eq!(outcome.decision(), outcome.decision);
         assert_eq!(outcome.enforcement, Some(Enforcement::Escalated));
+    }
+
+    #[test]
+    fn decide_resolved_answers_from_the_pinned_snapshot() {
+        let handle = PdpHandle::new();
+        let mut pin = handle.pin();
+        let e1 = handle.publish(DecisionSnapshot::new(
+            permit_dba_policies(),
+            CombiningAlg::DenyOverrides,
+        ));
+        let roles = ["dba", "guest", "dba"];
+        let decode = |batch: &mut ResolvedBatch<'_>| -> Result<(), String> {
+            for role in roles {
+                batch.push();
+                batch.set(Category::Subject, "role", agenp_policy::AttrRef::Str(role));
+            }
+            Ok(())
+        };
+        // The pin revalidates before decoding: every outcome is epoch e1.
+        let outcomes = pin.decide_resolved(decode).unwrap();
+        let want: Vec<DecisionOutcome> = roles
+            .iter()
+            .map(|r| handle.decide(&Request::new().subject("role", *r)))
+            .collect();
+        assert_eq!(outcomes.len(), want.len());
+        for (got, want) in outcomes.iter().zip(&want) {
+            assert_eq!(got.effects(), want.effects());
+            assert_eq!((got.epoch, got.enforcement), (e1, want.enforcement));
+        }
+        let decided = handle.stats().decisions;
+        // A failed decode decides and counts nothing.
+        let failed: Result<_, String> = pin.decide_resolved(|_| Err("bad body".into()));
+        assert_eq!(failed.unwrap_err(), "bad body");
+        assert_eq!(handle.stats().decisions, decided);
+        // A degraded snapshot denies every resolved request, bare.
+        let e2 = handle.publish(
+            DecisionSnapshot::new(permit_dba_policies(), CombiningAlg::DenyOverrides).degraded(
+                AmsError::Generation(agenp_grammar::AsgError::Exhausted(
+                    agenp_asp::Exhausted::Atoms,
+                )),
+            ),
+        );
+        for o in pin.decide_resolved(decode).unwrap() {
+            assert_eq!(o.effects(), DecisionEffects::bare(Decision::Deny));
+            assert_eq!(o.epoch, e2);
+            assert!(o.error.is_some());
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The serving loop: a blocking `TcpListener` accept thread feeding a
-//! fixed worker pool over an mpsc channel (the `crates/asp/src/pool.rs`
-//! idiom: plain `std::thread` + channels, deterministic shutdown, no
-//! external runtime). Each worker owns a [`PdpPin`], so every connection
-//! it serves decides against a pinned snapshot revalidated by one epoch
-//! load — the HTTP tier inherits the lock-free path for free.
+//! fixed worker pool over an mpsc channel (plain `std::thread` +
+//! channels, deterministic shutdown, no external runtime). Each worker
+//! owns a [`PdpPin`], so every connection it serves decides against a
+//! pinned snapshot revalidated by one epoch load — the HTTP tier inherits
+//! the lock-free path for free. `/decide` and `/decide_batch` bodies are
+//! decoded straight into that snapshot's value codes ([`decide_body`]),
+//! and each response is written from one per-connection buffer.
 
 use crate::http::{write_response, ConnBuf, HttpError, HttpRequest};
-use crate::json;
 use crate::wire;
 use agenp_core::arch::{PdpHandle, PdpPin, ServeStats};
 use std::io;
@@ -246,6 +247,8 @@ fn serve_connection(
     };
     let mut write_half = write_half;
     let mut conn = ConnBuf::new(stream);
+    // The response body, reused across the connection's requests.
+    let mut body = String::new();
     loop {
         let request = match conn.read_request() {
             Ok(Some(r)) => r,
@@ -280,7 +283,8 @@ fn serve_connection(
             Err(HttpError::Io(_)) => return,
         };
         let keep_alive = request.keep_alive;
-        let (status, body) = route(pin, counters, &request);
+        body.clear();
+        let status = route(pin, counters, &request, &mut body);
         if status < 400 {
             counters.ok.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -295,60 +299,70 @@ fn serve_connection(
     }
 }
 
-/// Dispatches one request to its endpoint. Returns `(status, JSON body)`.
-fn route(pin: &mut PdpPin, counters: &HttpCounters, request: &HttpRequest) -> (u16, String) {
+/// Dispatches one request to its endpoint, appending the JSON response
+/// body to `out`. Returns the status.
+fn route(
+    pin: &mut PdpPin,
+    counters: &HttpCounters,
+    request: &HttpRequest,
+    out: &mut String,
+) -> u16 {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/decide") => match parse_body(&request.body).and_then(|v| {
-            wire::request_from_json(&v).map_err(|e| format!("bad request shape: {e}"))
-        }) {
-            Ok(req) => {
-                let outcome = pin.decide(&req);
-                counters.decisions.fetch_add(1, Ordering::Relaxed);
-                (200, wire::outcome_to_json(&outcome))
-            }
-            Err(msg) => (400, wire::error_body(&msg)),
-        },
-        ("POST", "/decide_batch") => match parse_batch_body(&request.body) {
-            Ok(reqs) => {
-                let outcomes = pin.decide_batch(&reqs);
-                counters
-                    .decisions
-                    .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-                (200, wire::batch_to_json(&outcomes))
-            }
-            Err(msg) => (400, wire::error_body(&msg)),
-        },
-        ("GET", "/metrics") => (200, metrics_body(pin.handle().stats(), counters)),
-        ("GET", "/healthz") => (200, "{\"ok\": true}".to_string()),
-        ("POST" | "GET", "/decide" | "/decide_batch" | "/metrics" | "/healthz") => (
-            405,
-            wire::error_body(&format!(
-                "method {} not allowed on {}",
-                request.method, request.path
-            )),
-        ),
-        _ => (404, wire::error_body(&format!("no route {}", request.path))),
+        ("POST", path @ ("/decide" | "/decide_batch")) => {
+            let (status, decisions) = decide_body(pin, path == "/decide_batch", &request.body, out);
+            counters
+                .decisions
+                .fetch_add(decisions as u64, Ordering::Relaxed);
+            status
+        }
+        ("GET", "/metrics") => {
+            out.push_str(&metrics_body(pin.handle().stats(), counters));
+            200
+        }
+        ("GET", "/healthz") => {
+            out.push_str("{\"ok\": true}");
+            200
+        }
+        ("POST" | "GET", "/decide" | "/decide_batch" | "/metrics" | "/healthz") => {
+            wire::push_error(
+                out,
+                &format!("method {} not allowed on {}", request.method, request.path),
+            );
+            405
+        }
+        _ => {
+            wire::push_error(out, &format!("no route {}", request.path));
+            404
+        }
     }
 }
 
-fn parse_body(body: &[u8]) -> Result<json::Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    json::parse(text).map_err(|e| format!("bad JSON: {e}"))
-}
-
-fn parse_batch_body(body: &[u8]) -> Result<Vec<agenp_policy::Request>, String> {
-    let value = parse_body(body)?;
-    let items = value
-        .get("requests")
-        .and_then(json::Json::as_arr)
-        .ok_or_else(|| "body must be {\"requests\": [...]}".to_string())?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            wire::request_from_json(v).map_err(|e| format!("bad request at index {i}: {e}"))
-        })
-        .collect()
+/// The `/decide` (`batch` false) and `/decide_batch` handler: decodes
+/// `body` straight into the pinned snapshot's value codes
+/// ([`wire::decode_request`], [`wire::decode_batch`]), decides the whole
+/// body under that one snapshot, and appends the JSON response to `out`.
+/// Returns the status — 200, or 400 with `{"error": ...}` — and the number
+/// of decisions rendered.
+pub fn decide_body(pin: &mut PdpPin, batch: bool, body: &[u8], out: &mut String) -> (u16, usize) {
+    let decided = if batch {
+        pin.decide_resolved(|requests| wire::decode_batch(body, requests))
+    } else {
+        pin.decide_resolved(|requests| wire::decode_request(body, requests))
+    };
+    match decided {
+        Ok(outcomes) => {
+            if batch {
+                wire::push_batch(out, &outcomes);
+            } else {
+                wire::push_outcome(out, &outcomes[0]);
+            }
+            (200, outcomes.len())
+        }
+        Err(msg) => {
+            wire::push_error(out, &msg);
+            (400, 0)
+        }
+    }
 }
 
 /// The obs-backed `/metrics` document: per-handle serve stats, HTTP-level

@@ -72,6 +72,29 @@ impl AttrValue {
     }
 }
 
+/// A borrowed attribute value: what a decoder hands the compiled set's
+/// resolver without building an [`AttrValue`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AttrRef<'a> {
+    /// A string value.
+    Str(&'a str),
+    /// An integer value.
+    Int(i64),
+    /// A boolean value.
+    Bool(bool),
+}
+
+impl AttrValue {
+    /// The value, borrowed.
+    pub fn borrowed(&self) -> AttrRef<'_> {
+        match self {
+            AttrValue::Str(s) => AttrRef::Str(s),
+            AttrValue::Int(i) => AttrRef::Int(*i),
+            AttrValue::Bool(b) => AttrRef::Bool(*b),
+        }
+    }
+}
+
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

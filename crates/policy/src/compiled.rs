@@ -3,8 +3,11 @@
 //! decision — and its obligations and penalty — in one pass over the rules.
 //!
 //! * **Slots.** Every `(category, attribute)` the set references gets a
-//!   dense slot. A decide resolves the request once into `slot → value
-//!   code`; attributes the set never references are ignored.
+//!   dense slot. One resolver, [`CompiledPolicySet::resolve`], writes
+//!   `(category, name, value)` triples into a request's `slot → value code`
+//!   buffer; attributes the set never references are ignored. A
+//!   [`Request`] is fed through it attribute by attribute, and so is a
+//!   wire decoder's [`ResolvedBatch`], which never builds a `Request`.
 //! * **Value codes.** Per slot and per type, the constants the set compares
 //!   against are sorted and coded order-preservingly: constant `i` is
 //!   `2i + 1` and the gap below it `2i`, so a value the set never mentions
@@ -26,8 +29,11 @@
 //! * **One pass.** Each candidate rule and each policy is decided once;
 //!   obligations and the penalty are then collected from those recorded
 //!   decisions under the collection semantics of [`crate::obligation`].
+//!   Every caller evaluates through the same pass over value codes: a
+//!   single [`Request`] with its scratch on the stack (for sets that fit),
+//!   a [`ResolvedBatch`] with one heap scratch for the whole batch.
 
-use crate::attr::{AttrValue, Category, Request};
+use crate::attr::{AttrRef, AttrValue, Category, Request};
 use crate::model::{CombiningAlg, Cond, CondOp, Decision, Effect, Policy};
 use crate::obligation::{DecisionEffects, Obligation, ObligationSpec};
 use std::cmp::Ordering;
@@ -99,22 +105,22 @@ impl Domain {
     }
 
     /// The code of a request value.
-    fn code(&self, value: &AttrValue) -> u32 {
+    fn code(&self, value: AttrRef<'_>) -> u32 {
         match value {
-            AttrValue::Str(s) => {
+            AttrRef::Str(s) => {
                 self.str_base() + ordinal(self.strs.binary_search_by(|c| c.as_str().cmp(s)))
             }
-            AttrValue::Int(i) => self.int_base() + ordinal(self.ints.binary_search(i)),
-            AttrValue::Bool(b) => self.bool_base() + u32::from(*b),
+            AttrRef::Int(i) => self.int_base() + ordinal(self.ints.binary_search(&i)),
+            AttrRef::Bool(b) => self.bool_base() + u32::from(b),
         }
     }
 
     /// The codes of `value`'s type, in order.
-    fn type_range(&self, value: &AttrValue) -> Range<u32> {
+    fn type_range(&self, value: AttrRef<'_>) -> Range<u32> {
         match value {
-            AttrValue::Str(_) => self.str_base()..self.int_base(),
-            AttrValue::Int(_) => self.int_base()..self.bool_base(),
-            AttrValue::Bool(_) => self.bool_base()..self.size(),
+            AttrRef::Str(_) => self.str_base()..self.int_base(),
+            AttrRef::Int(_) => self.int_base()..self.bool_base(),
+            AttrRef::Bool(_) => self.bool_base()..self.size(),
         }
     }
 }
@@ -441,8 +447,11 @@ impl CompiledPolicySet {
                 // type, or absence, is unknown.
                 let slot = self.slot(*category, attr).expect("slot assigned in pass 1");
                 let domain = &self.domains[slot as usize];
-                let (size, at, same_type) =
-                    (domain.size(), domain.code(value), domain.type_range(value));
+                let (size, at, same_type) = (
+                    domain.size(),
+                    domain.code(value.borrowed()),
+                    domain.type_range(value.borrowed()),
+                );
                 let table = offset(self.tables.len());
                 self.tables
                     .extend(repeat_n(UNKNOWN, same_type.start as usize));
@@ -471,7 +480,7 @@ impl CompiledPolicySet {
                 self.tables
                     .extend(repeat_n(FALSE, domain.size() as usize - 1));
                 for v in values {
-                    self.tables[(table + domain.code(v)) as usize] = TRUE;
+                    self.tables[(table + domain.code(v.borrowed())) as usize] = TRUE;
                 }
                 Node::Leaf { slot, table }
             }
@@ -617,28 +626,64 @@ impl CompiledPolicySet {
         }
     }
 
-    /// Resolves `request` and decides every policy once, recording the
-    /// value codes, one decision per policy and the annotated rules that
-    /// fired (node values go to a scratch of their own), then hands the
-    /// recorded pass to `finish`.
-    fn run<R>(&self, request: &Request, finish: impl FnOnce(&Pass<'_>) -> R) -> R {
-        let slots = self.domains.len();
-        // One spare `fired` word: the pass writes a slot before deciding
-        // whether to keep it.
-        let len = slots + self.policies.len() + self.annotated_rules + 1;
-        let mut words = Scratch::<u32, 128>::new(len);
-        let mut vals = Scratch::<u8, 256>::new(self.nodes.len());
-        // Zeroed: every slot starts `ABSENT`.
-        let (codes, rest) = words.split_at_mut(slots);
-        let (decisions, fired) = rest.split_at_mut(self.policies.len());
-        for (category, name, value) in request.iter() {
-            if let Some(slot) = self.slot(category, name) {
-                codes[slot as usize] = self.domains[slot as usize].code(value);
-            }
+    /// Number of slots: the length of one request's code buffer.
+    pub fn slots(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// The resolver: writes the value code of `value` for `(category,
+    /// name)` into `codes`, one request's buffer of [`slots`] codes that
+    /// starts all absent. An attribute the set never references is
+    /// ignored. A later write to a slot overwrites an earlier one, so a
+    /// duplicated attribute keeps its last value, as [`Request::set`] does.
+    ///
+    /// [`slots`]: CompiledPolicySet::slots
+    pub fn resolve(&self, codes: &mut [u32], category: Category, name: &str, value: AttrRef<'_>) {
+        if let Some(slot) = self.slot(category, name) {
+            codes[slot as usize] = self.domains[slot as usize].code(value);
         }
-        let codes = &*codes;
+    }
+
+    /// Scratch words one pass needs beside the codes: a decision per
+    /// policy, the annotated rules that fired, and one spare `fired` word
+    /// (the pass writes a slot before deciding whether to keep it).
+    fn pass_words(&self) -> usize {
+        self.policies.len() + self.annotated_rules + 1
+    }
+
+    /// Resolves `request` into stack scratch (heap past the inline sizes)
+    /// and runs the pass over its codes.
+    fn run_request<R>(&self, request: &Request, finish: impl FnOnce(&Pass<'_>) -> R) -> R {
+        let slots = self.slots();
+        // Zeroed: every slot starts `ABSENT`.
+        let mut words = Scratch::<u32, 128>::new(slots + self.pass_words());
+        let mut vals = Scratch::<u8, 256>::new(self.nodes.len());
+        let (codes, pass) = words.split_at_mut(slots);
+        for (category, name, value) in request.iter() {
+            self.resolve(codes, category, name, value.borrowed());
+        }
+        self.run(codes, pass, &mut vals, finish)
+    }
+
+    /// Decides every policy once over one request's value `codes`,
+    /// recording one decision per policy and the annotated rules that
+    /// fired into `words` (at least [`pass_words`] long) and node values
+    /// into `vals` (one per node), then hands the recorded pass to
+    /// `finish`. Neither scratch needs clearing between calls: the pass
+    /// writes every entry before reading it.
+    ///
+    /// [`pass_words`]: CompiledPolicySet::pass_words
+    #[inline]
+    fn run<R>(
+        &self,
+        codes: &[u32],
+        words: &mut [u32],
+        vals: &mut [u8],
+        finish: impl FnOnce(&Pass<'_>) -> R,
+    ) -> R {
+        let (decisions, fired) = words.split_at_mut(self.policies.len());
         for nodes in &self.eager {
-            self.evaluate(nodes.clone(), codes, &mut vals);
+            self.evaluate(nodes.clone(), codes, vals);
         }
         let mut n_fired = 0;
         for (p, policy) in self.policies.iter().enumerate() {
@@ -647,7 +692,7 @@ impl CompiledPolicySet {
             for &r in &self.candidates[list.start as usize..list.end as usize] {
                 let rule = &self.rules[r as usize];
                 if policy.key.is_some() {
-                    self.evaluate(rule.nodes.clone(), codes, &mut vals);
+                    self.evaluate(rule.nodes.clone(), codes, vals);
                 }
                 // The root is the rule's last node; no nodes, no condition.
                 let value = if rule.nodes.is_empty() {
@@ -680,14 +725,90 @@ impl CompiledPolicySet {
     /// Decides `request`; identical to evaluating the source policies rule
     /// by rule under the set's combining algorithm.
     pub fn decide(&self, request: &Request) -> Decision {
-        self.run(request, |pass| pass.decision)
+        self.run_request(request, |pass| pass.decision)
     }
 
     /// Decides `request` and collects the obligations and penalty the
     /// decision carries (see [`crate::evaluate_policies_effects`] for the
     /// collection semantics).
     pub fn decide_effects(&self, request: &Request) -> DecisionEffects {
-        self.run(request, |pass| pass.effects())
+        self.run_request(request, |pass| pass.effects())
+    }
+}
+
+/// Requests resolved to value codes against one [`CompiledPolicySet`],
+/// ready to decide: a flat buffer of [`CompiledPolicySet::slots`] codes per
+/// request. The batch borrows the set, so its codes can only be decided
+/// against the set they were resolved for.
+#[derive(Clone, Debug)]
+pub struct ResolvedBatch<'s> {
+    set: &'s CompiledPolicySet,
+    codes: Vec<u32>,
+    len: usize,
+}
+
+impl<'s> ResolvedBatch<'s> {
+    /// An empty batch over `set`.
+    pub fn new(set: &'s CompiledPolicySet) -> ResolvedBatch<'s> {
+        ResolvedBatch {
+            set,
+            codes: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Starts the next request, every attribute absent.
+    pub fn push(&mut self) {
+        self.codes.extend(repeat_n(ABSENT, self.set.slots()));
+        self.len += 1;
+    }
+
+    /// Appends `request`, resolved attribute by attribute.
+    pub fn push_request(&mut self, request: &Request) {
+        self.push();
+        for (category, name, value) in request.iter() {
+            self.set(category, name, value.borrowed());
+        }
+    }
+
+    /// Resolves one attribute of the newest request (see
+    /// [`CompiledPolicySet::resolve`]).
+    ///
+    /// # Panics
+    ///
+    /// If no request has been started with [`ResolvedBatch::push`].
+    pub fn set(&mut self, category: Category, name: &str, value: AttrRef<'_>) {
+        assert!(self.len > 0, "ResolvedBatch::set before push");
+        let start = self.codes.len() - self.set.slots();
+        self.set
+            .resolve(&mut self.codes[start..], category, name, value);
+    }
+
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the batch holds no request.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Each request's codes, in order.
+    fn requests(&self) -> impl Iterator<Item = &[u32]> {
+        let slots = self.set.slots();
+        (0..self.len).map(move |i| &self.codes[i * slots..(i + 1) * slots])
+    }
+
+    /// The [`DecisionEffects`] for each request, in order; identical to
+    /// [`CompiledPolicySet::decide_effects`] on the requests it resolved.
+    /// The whole batch runs with one evaluation scratch.
+    pub fn effects(&self) -> impl Iterator<Item = DecisionEffects> + '_ {
+        let set = self.set;
+        let mut words = vec![0u32; set.pass_words()];
+        let mut vals = vec![0u8; set.nodes.len()];
+        self.requests()
+            .map(move |codes| set.run(codes, &mut words, &mut vals, |pass| pass.effects()))
     }
 }
 
@@ -702,6 +823,7 @@ struct Pass<'a> {
 
 impl Pass<'_> {
     /// Collects obligations and the penalty from the recorded decisions.
+    #[inline]
     fn effects(&self) -> DecisionEffects {
         let mut effects = DecisionEffects::bare(self.decision);
         let Some(final_effect) = self.decision.effect() else {
@@ -779,7 +901,7 @@ mod tests {
             strs: vec!["b".into(), "d".into()],
             ints: vec![2, 4],
         };
-        let codes: Vec<u32> = probes().iter().map(|v| domain.code(v)).collect();
+        let codes: Vec<u32> = probes().iter().map(|v| domain.code(v.borrowed())).collect();
         // "" and "a" share the gap below "b"; "c" sits between "b" and "d".
         assert_eq!(&codes[..6], &[1, 1, 2, 3, 4, 5]);
         assert_eq!(&codes[6..13], &[6, 6, 7, 8, 9, 10, 10]);
@@ -958,12 +1080,12 @@ mod tests {
                 let list = &set.policies[0].lists[code as usize];
                 set.candidates[list.start as usize..list.end as usize].to_vec()
             };
-            assert_eq!(candidates(domain.code(&"l3".into())), [3, 10, 11]);
-            assert_eq!(candidates(domain.code(&"l30".into())), [11]);
+            assert_eq!(candidates(domain.code(AttrRef::Str("l3"))), [3, 10, 11]);
+            assert_eq!(candidates(domain.code(AttrRef::Str("l30"))), [11]);
             let every_rule: Vec<u32> = (0..12).collect();
             assert_eq!(candidates(ABSENT), every_rule);
-            assert_eq!(candidates(domain.code(&AttrValue::Int(3))), every_rule);
-            assert_eq!(candidates(domain.code(&AttrValue::Bool(true))), every_rule);
+            assert_eq!(candidates(domain.code(AttrRef::Int(3))), every_rule);
+            assert_eq!(candidates(domain.code(AttrRef::Bool(true))), every_rule);
         }
     }
 
@@ -1021,6 +1143,45 @@ mod tests {
         assert_eq!(fx.decision, Decision::Permit);
         assert_eq!(fx.obligations, vec![audit("a"), audit("b")]);
         assert_eq!(fx.penalty, 0);
+    }
+
+    #[test]
+    fn resolved_batches_decide_like_requests() {
+        for alg in [CombiningAlg::DenyOverrides, CombiningAlg::FirstApplicable] {
+            let policies = guarded_policy(alg);
+            let set = CompiledPolicySet::new(&policies, alg);
+            let mut batch = ResolvedBatch::new(&set);
+            let mut requests = Vec::new();
+            for (i, level) in ["l3", "l9", "l30"].into_iter().enumerate() {
+                // A decoy first: the later write to the slot wins, as in
+                // `Request::set`. Unreferenced attributes are ignored.
+                batch.push();
+                batch.set(Category::Subject, "level", AttrRef::Int(i as i64));
+                batch.set(Category::Subject, "level", AttrRef::Str(level));
+                batch.set(Category::Subject, "unreferenced", AttrRef::Bool(true));
+                batch.set(Category::Action, "id", AttrRef::Str("write"));
+                requests.push(Request::new().subject("level", level).action("id", "write"));
+            }
+            batch.push_request(&Request::new());
+            requests.push(Request::new());
+            assert_eq!(batch.len(), requests.len());
+            let effects: Vec<DecisionEffects> = batch.effects().collect();
+            for (request, fx) in requests.iter().zip(&effects) {
+                assert_eq!(*fx, set.decide_effects(request), "{request}");
+                assert_eq!(fx.decision, tree_walk(&policies, alg, request), "{request}");
+            }
+        }
+        // A set with no slots still counts its requests.
+        let empty = CompiledPolicySet::new(&[], CombiningAlg::DenyOverrides);
+        let mut batch = ResolvedBatch::new(&empty);
+        assert!(batch.is_empty());
+        batch.push();
+        batch.set(Category::Subject, "role", AttrRef::Str("dba"));
+        batch.push();
+        assert_eq!(
+            batch.effects().collect::<Vec<_>>(),
+            vec![DecisionEffects::bare(Decision::NotApplicable); 2]
+        );
     }
 
     #[test]

@@ -36,12 +36,12 @@ mod obligation;
 mod pdp;
 mod quality;
 
-pub use attr::{AttrValue, Category, Request};
+pub use attr::{AttrRef, AttrValue, Category, Request};
 pub use bridge::{
     attr_value_to_term, obligation_to_atom, obligations_to_program, parse_value,
     request_to_context, rule_from_text, rule_to_text, PolicyTextError,
 };
-pub use compiled::CompiledPolicySet;
+pub use compiled::{CompiledPolicySet, ResolvedBatch};
 pub use ledger::{
     ComplianceAdvice, ComplianceEvaluator, LedgerEntry, ObligationLedger, ObligationStatus,
 };

@@ -55,14 +55,21 @@ impl From<Effect> for Decision {
     }
 }
 
-impl fmt::Display for Decision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Decision {
+    /// The decision's name, as [`Display`](fmt::Display) prints it.
+    pub fn name(self) -> &'static str {
+        match self {
             Decision::Permit => "Permit",
             Decision::Deny => "Deny",
             Decision::NotApplicable => "NotApplicable",
             Decision::Indeterminate => "Indeterminate",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Decision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -91,13 +91,20 @@ pub enum Enforcement {
     Escalated,
 }
 
-impl fmt::Display for Enforcement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Enforcement {
+    /// The enforcement's name, as [`Display`](fmt::Display) prints it.
+    pub fn name(self) -> &'static str {
+        match self {
             Enforcement::Granted => "granted",
             Enforcement::Blocked => "blocked",
             Enforcement::Escalated => "escalated",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Enforcement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

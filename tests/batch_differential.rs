@@ -12,7 +12,7 @@ use agenp_policy::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn workload(distinct: usize, seed: u64) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -95,13 +95,18 @@ fn mid_batch_snapshot_swaps_never_tear_or_stale() {
 
     let handle = PdpHandle::new();
     let stop = AtomicBool::new(false);
+    // Workers that have completed a batch: the swapper keeps publishing
+    // until every worker has decided under swaps, however late the
+    // scheduler starts it.
+    let working = AtomicUsize::new(0);
+    let mut swap = 0;
     const WORKERS: usize = 3;
     const SWAPS: u64 = 200;
 
     std::thread::scope(|s| {
         for w in 0..WORKERS {
             let h = handle.clone();
-            let (stop, requests) = (&stop, &requests);
+            let (stop, working, requests) = (&stop, &working, &requests);
             let (under_real, under_empty) = (&under_real, &under_empty);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xF00D + w as u64);
@@ -141,12 +146,15 @@ fn mid_batch_snapshot_swaps_never_tear_or_stale() {
                             "worker {w}: stale decision for request {i} at epoch {epoch}"
                         );
                     }
+                    if batches == 0 {
+                        working.fetch_add(1, Ordering::Relaxed);
+                    }
                     batches += 1;
                 }
                 assert!(batches > 0, "worker {w} never completed a batch");
             });
         }
-        for swap in 0..SWAPS {
+        while swap < SWAPS || working.load(Ordering::Relaxed) < WORKERS {
             let snapshot = if swap % 2 == 0 {
                 DecisionSnapshot::new(real.clone(), CombiningAlg::DenyOverrides)
             } else {
@@ -154,11 +162,13 @@ fn mid_batch_snapshot_swaps_never_tear_or_stale() {
             };
             handle.publish(snapshot);
             std::thread::yield_now();
+            swap += 1;
         }
         stop.store(true, Ordering::Relaxed);
     });
     let stats = handle.stats();
-    assert_eq!(stats.publishes, SWAPS, "every swap must have published");
+    assert!(swap >= SWAPS);
+    assert_eq!(stats.publishes, swap, "every swap must have published");
     assert!(stats.decisions > 0);
 }
 
